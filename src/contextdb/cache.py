@@ -36,7 +36,6 @@ class CacheEntry:
     value: str
     inserted_at: int
     ttl: int
-    last_access: int
 
     def expired(self, now: int) -> bool:
         return now >= self.inserted_at + self.ttl
@@ -72,7 +71,6 @@ class ResponseCache:
                 del self._entries[key]
                 self.misses += 1
                 return None
-            entry.last_access = now
             self._entries.move_to_end(key)
             self.hits += 1
             return entry.value
@@ -89,13 +87,12 @@ class ResponseCache:
                 entry.value = value
                 entry.inserted_at = now
                 entry.ttl = ttl
-                entry.last_access = now
                 self._entries.move_to_end(key)
                 return
             if len(self._entries) >= self.capacity:
                 self._evict_one(now)
             self._entries[key] = CacheEntry(value=value, inserted_at=now,
-                                            ttl=ttl, last_access=now)
+                                            ttl=ttl)
 
     def _evict_one(self, now: int) -> None:
         for key, entry in self._entries.items():  # LRU order

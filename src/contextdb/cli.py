@@ -25,7 +25,7 @@ import numpy as np
 from .cache import DEFAULT_CAPACITY, DEFAULT_TTL_MS, ResponseCache
 from .conversation import ConversationStore
 from .core import (Document, EmbeddingProvider, FixtureEmbedder, HashEmbedder,
-                   MetaValue, Vector, fixture_embed)
+                   Vector, fixture_embed, fmt_meta)
 from .errors import CatalogError, ContextDbError, FilterParseError, StageError
 from .filters import parse_filter
 from .index import (FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams,
@@ -95,14 +95,8 @@ def load_config(path: Path | None = None) -> dict[str, str]:
     return config
 
 
-def _fmt_value(value: MetaValue) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _fmt_metadata(metadata) -> str:
-    return " ".join(f"{k}={_fmt_value(metadata[k])}" for k in sorted(metadata))
+    return " ".join(f"{k}={fmt_meta(metadata[k])}" for k in sorted(metadata))
 
 
 def make_embedder(choice: str, dim: int | None, seed: int) -> EmbeddingProvider:
@@ -122,11 +116,14 @@ def _load_index_dir(index_dir: Path):
         raise CatalogError(
             f"{index_dir} is not an index directory (missing "
             f"{EMBEDDER_META_NAME}; run `ingest` first)")
-    meta = json.loads(meta_path.read_text("utf-8"))
-    index = load_index(index_dir / SNAPSHOT_NAME)
-    embedder = make_embedder(meta["embedder"], meta.get("dim"),
-                             meta.get("seed", 0))
-    return index, embedder
+    try:
+        meta = json.loads(meta_path.read_text("utf-8"))
+        embedder = make_embedder(meta["embedder"], meta.get("dim"),
+                                 meta.get("seed", 0))
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise CatalogError(f"{meta_path}: malformed embedder record: "
+                           f"{type(exc).__name__}: {exc}") from exc
+    return load_index(index_dir / SNAPSHOT_NAME), embedder
 
 
 # -- commands ---------------------------------------------------------------
@@ -330,11 +327,7 @@ def cmd_bench(args) -> int:
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     ids = [f"doc-{i:06d}" for i in range(args.n)]
 
-    flat = FlatIndex()
-    for i, row in enumerate(data):
-        flat.insert(Document(id=ids[i], text=ids[i], metadata={},
-                             embedding=Vector(row)))
-
+    flat = _build_bench_index("flat", args, data, ids)
     t0 = time.perf_counter()
     index = _build_bench_index(args.kind, args, data, ids)
     build_ms = (time.perf_counter() - t0) * 1000.0

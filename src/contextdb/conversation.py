@@ -3,16 +3,13 @@
 One JSONL file holds every session; each line is exactly
 {session_id, seq, role, text, timestamp, metadata}. The store assigns seq
 (contiguous from 0 per session) and timestamp (non-decreasing per session),
-so callers can never race a sequence number. Recovery tolerates a torn final
-line -- the usual crash artifact of an interrupted append -- by truncating
-it; corruption anywhere earlier is refused loudly.
+so callers can never race a sequence number. Recovery (see jsonl.JsonlLog)
+heals a torn final line and refuses corruption anywhere earlier, as well as
+a gap in any session's seq.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +17,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .core import MetaValue, _validate_metadata
-from .errors import StorageError
+from .jsonl import JsonlStore
 
 ROLES = ("user", "assistant", "system")
 
@@ -45,54 +42,20 @@ class Message:
                            MappingProxyType(_validate_metadata(self.metadata)))
 
 
-class ConversationStore:
+class ConversationStore(JsonlStore):
     """Append-only message log, reopenable from its file at any time."""
 
     def __init__(self, path: str | Path, clock: Callable[[], float] = time.time):
-        self._path = Path(path)
         self._clock = clock
-        self._lock = threading.RLock()
         self._sessions: dict[str, list[Message]] = {}
-        self._recover()
-        try:
-            self._fh = open(self._path, "ab")
-        except OSError as exc:
-            raise StorageError(f"cannot open {self._path}: {exc}") from exc
+        super().__init__(path, Message, self._replay)
 
-    def _recover(self) -> None:
-        if not self._path.exists():
-            return
-        try:
-            raw = self._path.read_bytes()
-        except OSError as exc:
-            raise StorageError(f"cannot read {self._path}: {exc}") from exc
-        good = len(raw)
-        lines = raw.split(b"\n")
-        tail = lines.pop()  # bytes after the final newline ("" when clean)
-        if tail:
-            good -= len(tail)  # torn final line: drop it
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                rec = json.loads(line)
-                msg = Message(session_id=rec["session_id"], seq=rec["seq"],
-                              role=rec["role"], text=rec["text"],
-                              timestamp=rec["timestamp"],
-                              metadata=rec["metadata"])
-            except Exception as exc:
-                if lineno == len(lines) and not tail:
-                    # torn final line that did get its newline out
-                    good -= len(line) + 1
-                    break
-                raise StorageError(
-                    f"{self._path}:{lineno}: corrupt record: {exc}") from exc
-            history = self._sessions.setdefault(msg.session_id, [])
-            if msg.seq != len(history):
-                raise StorageError(
-                    f"{self._path}:{lineno}: session {msg.session_id!r} "
-                    f"expected seq {len(history)}, found {msg.seq}")
-            history.append(msg)
-        if good != len(raw):
-            os.truncate(self._path, good)
+    def _replay(self, msg: Message) -> None:
+        history = self._sessions.setdefault(msg.session_id, [])
+        if msg.seq != len(history):
+            raise ValueError(f"session {msg.session_id!r} expected seq "
+                             f"{len(history)}, found {msg.seq}")
+        history.append(msg)
 
     # -- writes ---------------------------------------------------------
 
@@ -106,18 +69,7 @@ class ConversationStore:
                 now = max(now, history[-1].timestamp)
             msg = Message(session_id=session_id, seq=len(history), role=role,
                           text=text, timestamp=now, metadata=metadata or {})
-            line = json.dumps(
-                {"session_id": msg.session_id, "seq": msg.seq,
-                 "role": msg.role, "text": msg.text,
-                 "timestamp": msg.timestamp,
-                 "metadata": dict(msg.metadata)},
-                ensure_ascii=False, separators=(",", ":")) + "\n"
-            try:
-                self._fh.write(line.encode("utf-8"))
-                self._fh.flush()
-            except OSError as exc:
-                raise StorageError(
-                    f"append to {self._path} failed: {exc}") from exc
+            self._log.append(msg)
             # memory is updated only after the bytes are down
             self._sessions.setdefault(session_id, history).append(msg)
             return msg
@@ -140,18 +92,3 @@ class ConversationStore:
         with self._lock:
             return sorted((sid, len(msgs))
                           for sid, msgs in self._sessions.items() if msgs)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-
-    def __enter__(self) -> "ConversationStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -34,6 +34,13 @@ def meta_kind(value: object) -> str:
     raise TypeError(f"unsupported metadata value type: {type(value).__name__}")
 
 
+def fmt_meta(value: MetaValue) -> str:
+    """Display form of a metadata value: booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 class Vector:
     """Fixed-dimension embedding with finite float64 coordinates.
 

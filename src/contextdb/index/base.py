@@ -1,5 +1,6 @@
-"""Shared scaffolding for the vector indexes: document table, dimension
-checks, deterministic hit assembly, and the hybrid filtered-search strategy.
+"""Shared scaffolding for the vector indexes: document table, the slot table
+of rows, dimension checks, deterministic hit assembly, the hybrid
+filtered-search strategy, and the snapshot state of the slot-table kinds.
 
 Ordering contract used everywhere: hits sorted by (distance, doc_id)
 ascending, ranks consecutive from 1. Mutations and searches are serialized
@@ -9,11 +10,12 @@ by one reentrant lock per index, which satisfies the reader-writer contract
 
 from __future__ import annotations
 
+import base64
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Iterator, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -37,29 +39,82 @@ def rows_to_query_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-class _GrowableMatrix:
-    """Dense float64 row store with amortized growth; rows are append-only."""
+def boundary_cut(dists: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the n smallest distances, plus every tie with the nth:
+    the (distance, doc_id) sort of the hits settles the boundary."""
+    if n >= dists.shape[0]:
+        return np.arange(dists.shape[0])
+    kth = np.partition(dists, n - 1)[n - 1]
+    return np.flatnonzero(dists <= kth)
 
-    def __init__(self, dim: int, capacity: int = 64):
-        self.dim = dim
-        self._data = np.zeros((capacity, dim), dtype=np.float64)
+
+_F8 = np.dtype("<f8")
+
+
+def pack_array(arr: np.ndarray) -> dict:
+    """Snapshot encoding of a float array: its shape, and its little-endian
+    float64 bytes in base64, so a load restores the exact values."""
+    a = np.ascontiguousarray(arr, dtype=_F8)
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def unpack_array(obj: dict) -> np.ndarray:
+    raw = base64.b64decode(obj["data"])
+    return np.frombuffer(raw, dtype=_F8).reshape(obj["shape"]).astype(
+        np.float64)
+
+
+def doc_entry(doc: Document) -> dict:
+    """A document's snapshot entry, without its vector."""
+    return {"id": doc.id, "text": doc.text, "meta": dict(doc.metadata)}
+
+
+class SlotTable:
+    """Dense float64 rows, one per slot, with slot -> id and id -> slot.
+
+    Rows grow amortized (capacity doubles). swap_remove() moves the last row
+    into the freed slot, so the rows are always exactly the live vectors and
+    a scan touches nothing stale. An index that tombstones instead (hnsw)
+    only appends; its dead slots keep their stale id in `ids`.
+    """
+
+    def __init__(self):
+        self._data = np.zeros((0, 0))
         self.count = 0
-
-    def append(self, values: np.ndarray) -> int:
-        if self.count == self._data.shape[0]:
-            grown = np.zeros((max(self.count * 2, 64), self.dim), dtype=np.float64)
-            grown[: self.count] = self._data[: self.count]
-            self._data = grown
-        self._data[self.count] = values
-        self.count += 1
-        return self.count - 1
+        self.ids: list[str] = []
+        self.slot_of: dict[str, int] = {}
 
     @property
     def rows(self) -> np.ndarray:
         return self._data[: self.count]
 
-    def row(self, slot: int) -> np.ndarray:
-        return self._data[slot]
+    def append(self, doc_id: str, values: np.ndarray) -> int:
+        slot = self.count
+        if slot == self._data.shape[0]:
+            grown = np.zeros((max(2 * slot, 64), values.shape[0]))
+            if slot:
+                grown[:slot] = self._data
+            self._data = grown
+        self._data[slot] = values
+        self.count = slot + 1
+        self.ids.append(doc_id)
+        self.slot_of[doc_id] = slot
+        return slot
+
+    def swap_remove(self, doc_id: str) -> tuple[int, int]:
+        """Drop doc_id's row. Returns (slot, last): the row that sat in the
+        last slot now sits in the freed one (slot == last: nothing moved)."""
+        slot = self.slot_of.pop(doc_id)
+        last = self.count - 1
+        if slot != last:
+            moved = self.ids[last]
+            self._data[slot] = self._data[last]
+            self.ids[slot] = moved
+            self.slot_of[moved] = slot
+        self.ids.pop()
+        self.count = last
+        return slot, last
 
 
 class VectorIndex(ABC):
@@ -71,6 +126,7 @@ class VectorIndex(ABC):
         self._docs: dict[str, Document] = {}
         self._dim: int | None = None
         self._lock = threading.RLock()
+        self._table = SlotTable()
 
     # -- introspection --------------------------------------------------
 
@@ -86,9 +142,6 @@ class VectorIndex(ABC):
 
     def get(self, doc_id: str) -> Document | None:
         return self._docs.get(doc_id)
-
-    def documents(self) -> Iterator[Document]:
-        return iter(list(self._docs.values()))
 
     # -- mutation ---------------------------------------------------------
 
@@ -113,37 +166,40 @@ class VectorIndex(ABC):
     # -- search ------------------------------------------------------------
 
     def search(self, query: Vector, k: int, **overrides) -> list[SearchHit]:
-        """The k nearest documents by Euclidean distance (clamped to size)."""
+        """The k nearest documents by Euclidean distance (clamped to size).
+
+        overrides are the kind's per-query knobs: ef_search widens an hnsw
+        beam, nprobe sets how many ivf lists are scanned (an ivf search may
+        return fewer than k when the probed lists run short)."""
         with self._lock:
-            self._check_search_ready(query)
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
+            self._check_search_ready(query, k)
             pairs = self._nearest(query.values, min(k, len(self._docs)), **overrides)
             return self._to_hits(pairs, k)
 
     def search_filtered(self, query: Vector, k: int, filt: FilterExpr,
                         **overrides) -> list[SearchHit]:
-        """k nearest documents among those satisfying the filter.
-
-        Approximate indexes oversample max(4k, k+32) candidates, post-filter,
-        and retry with doubled oversampling up to 3 times before settling for
-        a short list; the flat index overrides this with an exact scan.
-        """
+        """k nearest documents among those satisfying the filter."""
         with self._lock:
-            self._check_search_ready(query)
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-            total = len(self._docs)
-            fetch = max(4 * k, k + 32)
-            kept: list[tuple[float, str]] = []
-            for _ in range(4):  # initial attempt + 3 doubled retries
-                fetch = min(fetch, total)
-                pairs = self._nearest(query.values, fetch, **overrides)
-                kept = [p for p in pairs if evaluate_filter(filt, self._docs[p[1]])]
-                if len(kept) >= k or len(pairs) >= total:
-                    break
-                fetch *= 2
-            return self._to_hits(kept, k)
+            self._check_search_ready(query, k)
+            pairs = self._filtered(query.values, k, filt, **overrides)
+            return self._to_hits(pairs, k)
+
+    def _filtered(self, q: np.ndarray, k: int, filt: FilterExpr,
+                  **overrides) -> list[tuple[float, str]]:
+        """Approximate kinds oversample max(4k, k+32) candidates, post-filter,
+        and retry with doubled oversampling up to 3 times before settling for
+        a short list; the flat index overrides this with an exact scan."""
+        total = len(self._docs)
+        fetch = max(4 * k, k + 32)
+        kept: list[tuple[float, str]] = []
+        for _ in range(4):  # initial attempt + 3 doubled retries
+            fetch = min(fetch, total)
+            pairs = self._nearest(q, fetch, **overrides)
+            kept = [p for p in pairs if evaluate_filter(filt, self._docs[p[1]])]
+            if len(kept) >= k or len(pairs) >= total:
+                break
+            fetch *= 2
+        return kept
 
     # -- persistence --------------------------------------------------------
 
@@ -154,13 +210,37 @@ class VectorIndex(ABC):
         with self._lock:
             save_index(self, path)
 
+    def _state(self) -> dict[str, Any]:
+        """The snapshot payload: here the documents in slot order and their
+        rows; kinds with more state add to it or replace it."""
+        return {"docs": [doc_entry(self._docs[i]) for i in self._table.ids],
+                "vectors": pack_array(self._table.rows)}
+
+    @classmethod
+    def _from_state(cls, state: dict[str, Any]) -> "VectorIndex":
+        """The index a _state() payload describes. Raises LookupError,
+        TypeError or ValueError when the payload is malformed."""
+        index = cls()
+        index._insert_docs(state)
+        return index
+
+    def _insert_docs(self, state: dict[str, Any]) -> None:
+        # re-inserting in slot order rebuilds the same slots
+        rows = unpack_array(state["vectors"])
+        if len(state["docs"]) != rows.shape[0]:
+            raise ValueError("documents and vectors differ in number")
+        for i, entry in enumerate(state["docs"]):
+            self.insert(Document(id=entry["id"], text=entry["text"],
+                                 metadata=entry["meta"],
+                                 embedding=Vector(rows[i])))
+
     # -- hooks for subclasses -----------------------------------------------
 
-    @abstractmethod
-    def _insert_vector(self, doc_id: str, values: np.ndarray) -> None: ...
+    def _insert_vector(self, doc_id: str, values: np.ndarray) -> None:
+        self._table.append(doc_id, values)
 
-    @abstractmethod
-    def _remove_vector(self, doc_id: str) -> None: ...
+    def _remove_vector(self, doc_id: str) -> None:
+        self._table.swap_remove(doc_id)
 
     @abstractmethod
     def _nearest(self, q: np.ndarray, n: int, **overrides) -> list[tuple[float, str]]:
@@ -172,11 +252,13 @@ class VectorIndex(ABC):
         elif got != self._dim:
             raise DimensionMismatchError(expected=self._dim, got=got)
 
-    def _check_search_ready(self, query: Vector) -> None:
+    def _check_search_ready(self, query: Vector, k: int) -> None:
         if not self._docs:
             raise EmptyIndexError(f"cannot search an empty {self.kind} index")
         if self._dim is not None and query.dim != self._dim:
             raise DimensionMismatchError(expected=self._dim, got=query.dim, what="query")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
 
     # -- helpers -------------------------------------------------------------
 

@@ -4,75 +4,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Vector
-from ..errors import EmptyIndexError
 from ..filters import FilterExpr, evaluate_filter
-from .base import SearchHit, VectorIndex, _GrowableMatrix, rows_to_query_distances
+from .base import VectorIndex, boundary_cut, rows_to_query_distances
 
 
 class FlatIndex(VectorIndex):
-    """Exact k-NN over a dense row matrix.
+    """Exact k-NN over the slot table's rows.
 
     Removal is swap-with-last compaction, so the matrix always holds exactly
-    the live vectors and a scan touches nothing stale.
+    the live vectors and a scan touches nothing stale. It has no per-query
+    knobs: a search given one raises TypeError.
     """
 
     kind = "flat"
 
-    def __init__(self):
-        super().__init__()
-        self._matrix: _GrowableMatrix | None = None
-        self._slot_of: dict[str, int] = {}
-        self._id_of: list[str] = []
+    def _nearest(self, q: np.ndarray, n: int) -> list[tuple[float, str]]:
+        dists = rows_to_query_distances(self._table.rows, q)
+        ids = self._table.ids
+        return [(float(dists[i]), ids[i]) for i in boundary_cut(dists, n)]
 
-    def _insert_vector(self, doc_id: str, values: np.ndarray) -> None:
-        if self._matrix is None:
-            self._matrix = _GrowableMatrix(values.shape[0])
-        slot = self._matrix.append(values)
-        self._slot_of[doc_id] = slot
-        self._id_of.append(doc_id)
-
-    def _remove_vector(self, doc_id: str) -> None:
-        assert self._matrix is not None
-        slot = self._slot_of.pop(doc_id)
-        last = self._matrix.count - 1
-        if slot != last:
-            moved = self._id_of[last]
-            self._matrix._data[slot] = self._matrix._data[last]
-            self._id_of[slot] = moved
-            self._slot_of[moved] = slot
-        self._id_of.pop()
-        self._matrix.count -= 1
-
-    def _nearest(self, q: np.ndarray, n: int, **overrides) -> list[tuple[float, str]]:
-        if overrides:
-            raise TypeError(f"flat search takes no extra options: {sorted(overrides)}")
-        assert self._matrix is not None
-        dists = rows_to_query_distances(self._matrix.rows, q)
-        # keep every boundary tie; the (distance, doc_id) sort settles them
-        if n < dists.shape[0]:
-            kth = np.partition(dists, n - 1)[n - 1]
-            cut = np.flatnonzero(dists <= kth)
-        else:
-            cut = np.arange(dists.shape[0])
-        return [(float(dists[i]), self._id_of[i]) for i in cut]
-
-    def search_filtered(self, query: Vector, k: int, filt: FilterExpr,
-                        **overrides) -> list[SearchHit]:
+    def _filtered(self, q: np.ndarray, k: int,
+                  filt: FilterExpr) -> list[tuple[float, str]]:
         """Exact: restrict the scan to matching rows, then take the k nearest."""
-        with self._lock:
-            self._check_search_ready(query)
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-            if overrides:
-                raise TypeError(
-                    f"flat search takes no extra options: {sorted(overrides)}")
-            assert self._matrix is not None
-            keep = [i for i, doc_id in enumerate(self._id_of)
-                    if evaluate_filter(filt, self._docs[doc_id])]
-            if not keep:
-                return []
-            rows = self._matrix.rows[keep]
-            dists = rows_to_query_distances(rows, query.values)
-            pairs = [(float(dists[j]), self._id_of[i]) for j, i in enumerate(keep)]
-            return self._to_hits(pairs, k)
+        ids = self._table.ids
+        keep = [i for i, doc_id in enumerate(ids)
+                if evaluate_filter(filt, self._docs[doc_id])]
+        if not keep:
+            return []
+        dists = rows_to_query_distances(self._table.rows[keep], q)
+        return [(float(dists[j]), ids[i]) for j, i in enumerate(keep)]

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .base import VectorIndex, _GrowableMatrix
+from ..core import Document, Vector
+from .base import VectorIndex, doc_entry, pack_array, unpack_array
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,10 @@ class HnswIndex(VectorIndex):
         self.params = params or HnswParams()
         self._mult = 1.0 / math.log(self.params.m)
         self._rng = np.random.default_rng(self.params.seed)
-        # Slot-indexed, grow-only state. Tombstoned slots stay in place.
-        self._matrix: _GrowableMatrix | None = None
+        # Slot-indexed, grow-only state. Tombstoned slots stay in place:
+        # the slot table only appends, and its ids keep the stale id of a
+        # dead slot.
         self._norms = np.zeros(64, dtype=np.float64)
-        self._ids: list[str] = []          # slot -> doc id (stale when dead)
         self._alive: list[bool] = []
         self._levels: list[int] = []
         self._graph: list[list[list[int]]] = []   # slot -> layer -> neighbors
@@ -98,33 +99,32 @@ class HnswIndex(VectorIndex):
         # below _layered (see _index_layers)
         self._upper: list[list[int]] = []
         self._layered = 0
-        self._slot_of: dict[str, int] = {}
         self._entry: int | None = None
         self._max_level = -1
+
+    @property
+    def _slot_of(self) -> dict[str, int]:
+        """Live doc id -> slot."""
+        return self._table.slot_of
 
     # -- slot bookkeeping --------------------------------------------------
 
     def _append_slot(self, doc_id: str, values: np.ndarray, level: int) -> int:
-        if self._matrix is None:
-            self._matrix = _GrowableMatrix(values.shape[0])
-        slot = self._matrix.append(values)
+        slot = self._table.append(doc_id, values)
         if slot >= self._norms.shape[0]:
             grown = np.zeros(max(slot * 2, 64), dtype=np.float64)
             grown[:slot] = self._norms[:slot]
             self._norms = grown
         self._norms[slot] = float(values @ values)
-        self._ids.append(doc_id)
         self._alive.append(True)
         self._levels.append(level)
         self._graph.append([[] for _ in range(level + 1)])
-        self._slot_of[doc_id] = slot
         return slot
 
     def _distances_to(self, q: np.ndarray) -> np.ndarray:
         """True Euclidean distance from q to every slot, dead ones included."""
-        assert self._matrix is not None
-        n = self._matrix.count
-        d2 = self._norms[:n] - 2.0 * (self._matrix.rows @ q) + float(q @ q)
+        n = self._table.count
+        d2 = self._norms[:n] - 2.0 * (self._table.rows @ q) + float(q @ q)
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2, out=d2)
 
@@ -216,8 +216,7 @@ class HnswIndex(VectorIndex):
         n = d.shape[1]
         if n <= m:
             return slots.tolist()
-        assert self._matrix is not None
-        x = self._matrix.rows[slots]                     # (b, n, dim)
+        x = self._table.rows[slots]                      # (b, n, dim)
         g = x @ x.transpose(0, 2, 1)
         norms = self._norms[slots]
         dq2 = d * d
@@ -246,8 +245,7 @@ class HnswIndex(VectorIndex):
 
     def _prune(self, nodes: list[int], layer: int, m_max: int) -> None:
         """Cut each node's link list, one over m_max long, back to m_max."""
-        assert self._matrix is not None
-        rows = self._matrix.rows
+        rows = self._table.rows
         links = np.array([self._graph[s][layer] for s in nodes],
                          dtype=np.int64)
         diff = rows[links] - rows[nodes][:, None, :]
@@ -294,8 +292,7 @@ class HnswIndex(VectorIndex):
             self._max_level = level
 
     def _remove_vector(self, doc_id: str) -> None:
-        slot = self._slot_of.pop(doc_id)
-        self._alive[slot] = False
+        self._alive[self._table.slot_of.pop(doc_id)] = False
 
     def _nearest(self, q: np.ndarray, n: int, *,
                  ef_search: int | None = None) -> list[tuple[float, str]]:
@@ -309,11 +306,60 @@ class HnswIndex(VectorIndex):
         for layer in range(self._max_level, 0, -1):
             cur = self._greedy(dist, cur, layer)
         pairs = self._search_layer(dist, cur, ef)
-        return [(d, self._ids[s]) for d, s in pairs[:n]]
+        ids = self._table.ids
+        return [(d, ids[s]) for d, s in pairs[:n]]
 
-    def search(self, query, k, ef_search: int | None = None):
-        """k nearest live documents; a larger ef_search widens the beam."""
-        return super().search(query, k, ef_search=ef_search)
+    # -- snapshot state -------------------------------------------------------
 
-    def search_filtered(self, query, k, filt, ef_search: int | None = None):
-        return super().search_filtered(query, k, filt, ef_search=ef_search)
+    def _state(self) -> dict:
+        """The graph verbatim, tombstoned slots included (they still route),
+        with the RNG state, so a reloaded index builds on exactly as the
+        original would."""
+        return {"params": asdict(self.params),
+                "entry": self._entry,
+                "max_level": self._max_level,
+                "levels": self._levels,
+                "alive": self._alive,
+                "ids": self._table.ids,
+                "graph": self._graph,
+                "rng_state": self._rng.bit_generator.state,
+                "vectors": pack_array(self._table.rows),
+                "docs": [dict(doc_entry(doc), slot=self._table.slot_of[doc.id])
+                         for doc in self._docs.values()]}
+
+    @classmethod
+    def _from_state(cls, state: dict) -> "HnswIndex":
+        p = state["params"]
+        index = cls(HnswParams(m=p["m"], ef_construction=p["ef_construction"],
+                               ef_search=p["ef_search"], seed=p["seed"]))
+        rows = unpack_array(state["vectors"])
+        table = index._table
+        for slot, doc_id in enumerate(state["ids"]):
+            table.append(doc_id, rows[slot])
+        table.slot_of.clear()  # refilled below with the live documents
+        if table.count:
+            # Same per-row expression the insert path uses: a batched einsum
+            # can differ in the last bit, which is enough to flip near-tie
+            # ordering.
+            index._norms = np.array([float(row @ row) for row in table.rows])
+            index._dim = rows.shape[1]
+        index._alive = [bool(a) for a in state["alive"]]
+        index._levels = [int(lv) for lv in state["levels"]]
+        index._graph = [[[int(nb) for nb in layer] for layer in node]
+                        for node in state["graph"]]
+        index._entry = None if state["entry"] is None else int(state["entry"])
+        index._max_level = int(state["max_level"])
+        index._rng.bit_generator.state = state["rng_state"]
+        n = table.count
+        if {len(index._alive), len(index._levels), len(index._graph)} != {n}:
+            raise ValueError("graph and slot table differ in size")
+        if (index._entry is None) != (n == 0) or \
+                (n and index._levels[index._entry] != index._max_level):
+            raise ValueError("entry point does not match the graph")
+        for entry in state["docs"]:
+            slot = entry["slot"]
+            index._docs[entry["id"]] = Document(
+                id=entry["id"], text=entry["text"], metadata=entry["meta"],
+                embedding=Vector(rows[slot]))
+            table.slot_of[entry["id"]] = slot
+        return index

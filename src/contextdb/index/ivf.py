@@ -1,23 +1,27 @@
 """IVF-Flat index: a k-means coarse quantizer over inverted lists.
 
 train() fits centroids on a sample; every inserted vector lands in the list
-of its nearest centroid. A search scores the query against all centroids,
-scans the nprobe nearest lists exhaustively with the same exact-distance
-kernel the flat index uses, and merges. With nprobe == nlist every list is
-scanned, so results coincide with the flat index bit for bit.
+of its nearest centroid. Lists hold slots of the slot table, so a removal,
+which moves the last row into the freed slot, renames one list member in
+O(1). A search scores the query against all centroids, scans the nprobe
+nearest lists exhaustively with the same exact-distance kernel the flat
+index uses, and merges. With nprobe == nlist every list is scanned, so
+results coincide with the flat index bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from ..core import Vector
-from ..errors import DimensionMismatchError, NotTrainedError, TrainingDataError
-from .base import VectorIndex, _GrowableMatrix, rows_to_query_distances
+from ..errors import NotTrainedError, TrainingDataError
+from .base import (VectorIndex, boundary_cut, pack_array, rows_to_query_distances,
+                   unpack_array)
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,8 @@ class IvfIndex(VectorIndex):
         self.params = params or IvfParams()
         self._centroids: np.ndarray | None = None
         self._nlist = 0
-        self._lists: list[list[str]] = []
-        self._assign_of: dict[str, int] = {}
-        self._matrix: _GrowableMatrix | None = None
-        self._slot_of: dict[str, int] = {}
-        self._id_of: list[str] = []
+        self._lists: list[set[int]] = []   # list -> the slots it holds
+        self._list_of: list[int] = []      # slot -> its list
 
     @property
     def trained(self) -> bool:
@@ -116,89 +117,79 @@ class IvfIndex(VectorIndex):
             nlist = self.params.nlist or math.ceil(math.sqrt(n))
             if n < nlist:
                 raise TrainingDataError(required=nlist, got=n)
-            self._check_insert_dim(x.shape[1])
-            self._centroids = _kmeans(x, nlist, self.params.kmeans_iters,
-                                      self.params.seed)
-            self._nlist = nlist
-            self._lists = [[] for _ in range(nlist)]
+            self._set_centroids(_kmeans(x, nlist, self.params.kmeans_iters,
+                                        self.params.seed))
 
-    def _restore_centroids(self, centroids: np.ndarray) -> None:
-        # snapshot loading: adopt fitted centroids without re-running k-means
-        self._centroids = np.asarray(centroids, dtype=np.float64)
-        self._nlist = self._centroids.shape[0]
-        self._lists = [[] for _ in range(self._nlist)]
-        self._check_insert_dim(self._centroids.shape[1])
+    def _set_centroids(self, centroids: np.ndarray) -> None:
+        # the base check: this very call is what trains the index
+        super()._check_insert_dim(centroids.shape[1])
+        self._centroids = centroids
+        self._nlist = centroids.shape[0]
+        self._lists = [set() for _ in range(self._nlist)]
 
-    def _require_trained(self) -> None:
-        if self._centroids is None:
-            raise NotTrainedError("ivf index must be trained before use")
+    # -- snapshot state -----------------------------------------------------
 
-    def insert(self, doc) -> None:
-        with self._lock:
-            self._require_trained()
-            super().insert(doc)
+    def _state(self) -> dict:
+        return {"params": asdict(self.params),
+                "centroids": None if self._centroids is None
+                else pack_array(self._centroids),
+                **super()._state()}
 
-    def search(self, query, k, nprobe: int | None = None):
-        """k nearest among the nprobe closest lists (may return fewer than k
-        when the probed lists run short)."""
-        with self._lock:
-            self._require_trained()
-            return super().search(query, k, nprobe=nprobe)
-
-    def search_filtered(self, query, k, filt, nprobe: int | None = None):
-        with self._lock:
-            self._require_trained()
-            return super().search_filtered(query, k, filt, nprobe=nprobe)
+    @classmethod
+    def _from_state(cls, state: dict) -> "IvfIndex":
+        p = state["params"]
+        index = cls(IvfParams(nlist=p["nlist"], nprobe=p["nprobe"],
+                              kmeans_iters=p["kmeans_iters"], seed=p["seed"]))
+        if state["centroids"] is not None:
+            # adopt the fitted centroids; assignment is deterministic
+            index._set_centroids(unpack_array(state["centroids"]))
+            index._insert_docs(state)
+        return index
 
     # -- VectorIndex hooks --------------------------------------------------
 
+    def _check_insert_dim(self, got: int) -> None:
+        if self._centroids is None:
+            raise NotTrainedError("ivf index must be trained before use")
+        super()._check_insert_dim(got)
+
+    def _check_search_ready(self, query: Vector, k: int) -> None:
+        if self._centroids is None:
+            raise NotTrainedError("ivf index must be trained before use")
+        super()._check_search_ready(query, k)
+
     def _insert_vector(self, doc_id: str, values: np.ndarray) -> None:
-        assert self._centroids is not None
-        if self._matrix is None:
-            self._matrix = _GrowableMatrix(values.shape[0])
         diff = self._centroids - values
         cid = int(np.einsum("ij,ij->i", diff, diff).argmin())
-        slot = self._matrix.append(values)
-        self._slot_of[doc_id] = slot
-        self._id_of.append(doc_id)
-        self._lists[cid].append(doc_id)
-        self._assign_of[doc_id] = cid
+        self._lists[cid].add(self._table.append(doc_id, values))
+        self._list_of.append(cid)
 
     def _remove_vector(self, doc_id: str) -> None:
-        assert self._matrix is not None
-        slot = self._slot_of.pop(doc_id)
-        last = self._matrix.count - 1
+        slot, last = self._table.swap_remove(doc_id)
+        self._lists[self._list_of[slot]].remove(slot)
+        moved = self._list_of.pop()  # the list of the row that was last
         if slot != last:
-            moved = self._id_of[last]
-            self._matrix._data[slot] = self._matrix._data[last]
-            self._id_of[slot] = moved
-            self._slot_of[moved] = slot
-        self._id_of.pop()
-        self._matrix.count -= 1
-        self._lists[self._assign_of.pop(doc_id)].remove(doc_id)
+            self._lists[moved].remove(last)
+            self._lists[moved].add(slot)
+            self._list_of[slot] = moved
 
     def _nearest(self, q: np.ndarray, n: int, *,
                  nprobe: int | None = None) -> list[tuple[float, str]]:
-        assert self._centroids is not None and self._matrix is not None
         if nprobe is None:
             nprobe = self.params.nprobe if self.params.nprobe is not None \
                 else min(8, self._nlist)
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-        nprobe = min(nprobe, self._nlist)
         diff = self._centroids - q
         cd = np.einsum("ij,ij->i", diff, diff)
-        probe = np.argsort(cd, kind="stable")[:nprobe]
-        ids = [doc_id for c in probe for doc_id in self._lists[c]]
-        if not ids:
+        probe = [self._lists[c]
+                 for c in np.argsort(cd, kind="stable")[:nprobe]]
+        slots = np.fromiter(chain.from_iterable(probe), dtype=np.int64,
+                            count=sum(map(len, probe)))
+        if not slots.size:
             return []
-        slots = np.fromiter((self._slot_of[i] for i in ids), dtype=np.int64,
-                            count=len(ids))
-        dists = rows_to_query_distances(self._matrix.rows[slots], q)
-        # keep every boundary tie; the (distance, doc_id) sort settles them
-        if n < dists.shape[0]:
-            kth = np.partition(dists, n - 1)[n - 1]
-            cut = np.flatnonzero(dists <= kth)
-        else:
-            cut = np.arange(dists.shape[0])
-        return [(float(dists[i]), ids[i]) for i in cut]
+        dists = rows_to_query_distances(self._table.rows[slots], q)
+        cut = boundary_cut(dists, n)
+        ids = self._table.ids
+        return list(zip(dists[cut].tolist(),
+                        [ids[s] for s in slots[cut].tolist()]))

@@ -6,99 +6,49 @@ payload, and a CRC32 (u32) of everything before it. Vector data rides inside
 the JSON as base64-encoded little-endian float64, so a snapshot restores the
 exact float values that were saved.
 
-The flat and IVF payloads store documents plus fitted centroids and rebuild
-derived state by re-inserting (assignment is deterministic). HNSW must keep
-its graph verbatim -- including tombstoned slots, which still route -- so its
-payload carries the full slot table, adjacency lists, and RNG state.
+This module holds only that framing and the kind <-> class table. The
+payload is each kind's own: its `_state()` method writes it and its
+`_from_state()` classmethod rebuilds the index from it. Flat uses the
+default in base.py, the documents in slot order plus their rows, rebuilt by
+re-inserting. IVF (ivf.py) adds its params and fitted centroids; assignment
+is deterministic, so re-inserting rebuilds its lists. HNSW (hnsw.py) keeps
+its graph verbatim -- including tombstoned slots, which still route -- with
+the full slot table, adjacency lists, and RNG state. A payload that passes
+the checksum but does not have the shape its kind expects raises
+SnapshotCorruptError.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import struct
 import zlib
 from pathlib import Path
 
-import numpy as np
-
-from ..core import Document, Vector
-from ..errors import SnapshotCorruptError, SnapshotVersionError, StorageError
-from .base import VectorIndex, _GrowableMatrix
+from ..errors import (ContextDbError, SnapshotCorruptError,
+                      SnapshotVersionError, StorageError)
+from .base import VectorIndex
 from .flat import FlatIndex
-from .hnsw import HnswIndex, HnswParams
-from .ivf import IvfIndex, IvfParams
+from .hnsw import HnswIndex
+from .ivf import IvfIndex
 
 MAGIC = b"CTXIDX1\0"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sIIBQQ")
 _CRC = struct.Struct("<I")
-_KIND_CODES = {"flat": 0, "hnsw": 1, "ivf": 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-
-_F8 = np.dtype("<f8")
-
-
-def _pack(arr: np.ndarray) -> dict:
-    a = np.ascontiguousarray(arr, dtype=_F8)
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _unpack(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=_F8).reshape(obj["shape"]).astype(
-        np.float64)
-
-
-def _doc_entry(doc: Document) -> dict:
-    return {"id": doc.id, "text": doc.text, "meta": dict(doc.metadata)}
-
-
-def _payload_for(index: VectorIndex) -> dict:
-    if isinstance(index, FlatIndex):
-        rows = index._matrix.rows if index._matrix is not None \
-            else np.zeros((0, 0))
-        return {"docs": [_doc_entry(index._docs[i]) for i in index._id_of],
-                "vectors": _pack(rows)}
-    if isinstance(index, HnswIndex):
-        p = index.params
-        rows = index._matrix.rows if index._matrix is not None \
-            else np.zeros((0, 0))
-        docs = [dict(_doc_entry(doc), slot=index._slot_of[doc.id])
-                for doc in index._docs.values()]
-        return {"params": {"m": p.m, "ef_construction": p.ef_construction,
-                           "ef_search": p.ef_search, "seed": p.seed},
-                "entry": index._entry,
-                "max_level": index._max_level,
-                "levels": index._levels,
-                "alive": index._alive,
-                "ids": index._ids,
-                "graph": index._graph,
-                "rng_state": index._rng.bit_generator.state,
-                "vectors": _pack(rows),
-                "docs": docs}
-    if isinstance(index, IvfIndex):
-        p = index.params
-        rows = index._matrix.rows if index._matrix is not None \
-            else np.zeros((0, 0))
-        return {"params": {"nlist": p.nlist, "nprobe": p.nprobe,
-                           "kmeans_iters": p.kmeans_iters, "seed": p.seed},
-                "centroids": None if index._centroids is None
-                else _pack(index._centroids),
-                "docs": [_doc_entry(index._docs[i]) for i in index._id_of],
-                "vectors": _pack(rows)}
-    raise TypeError(f"cannot snapshot index of type {type(index).__name__}")
+# kind code in the header -> index class; a class's position is its code
+_KINDS: tuple[type[VectorIndex], ...] = (FlatIndex, HnswIndex, IvfIndex)
+_CODE_OF = {cls.kind: code for code, cls in enumerate(_KINDS)}
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Serialize to path atomically (write temp file, then rename over)."""
     path = Path(path)
-    payload = json.dumps(_payload_for(index),
+    payload = json.dumps(index._state(),
                          separators=(",", ":")).encode("utf-8")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, index.dim or 0,
-                          _KIND_CODES[index.kind], len(index), len(payload))
+                          _CODE_OF[index.kind], len(index), len(payload))
     blob = header + payload
     blob += _CRC.pack(zlib.crc32(blob))
     tmp = path.with_name(path.name + ".tmp")
@@ -109,6 +59,20 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
         raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
 
 
+def _parse_header(path: str | Path, raw: bytes) -> tuple:
+    """(kind class, dim, count, payload length) of a validated header."""
+    if len(raw) < _HEADER.size:
+        raise SnapshotCorruptError(f"{path}: truncated header")
+    magic, version, dim, kind_code, count, plen = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise SnapshotCorruptError(f"{path}: not an index snapshot")
+    if version != FORMAT_VERSION:
+        raise SnapshotVersionError(found=version, supported=FORMAT_VERSION)
+    if kind_code >= len(_KINDS):
+        raise SnapshotCorruptError(f"{path}: unknown index kind {kind_code}")
+    return _KINDS[kind_code], dim, count, plen
+
+
 def read_header(path: str | Path) -> dict:
     """Validated header fields: version, dim, kind, count."""
     try:
@@ -116,16 +80,8 @@ def read_header(path: str | Path) -> dict:
             raw = fh.read(_HEADER.size)
     except OSError as exc:
         raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise SnapshotCorruptError(f"{path}: truncated header")
-    magic, version, dim, kind_code, count, _ = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise SnapshotCorruptError(f"{path}: not an index snapshot")
-    if version != FORMAT_VERSION:
-        raise SnapshotVersionError(found=version, supported=FORMAT_VERSION)
-    if kind_code not in _CODE_KINDS:
-        raise SnapshotCorruptError(f"{path}: unknown index kind {kind_code}")
-    return {"version": version, "dim": dim, "kind": _CODE_KINDS[kind_code],
+    kind, dim, count, _ = _parse_header(path, raw)
+    return {"version": FORMAT_VERSION, "dim": dim, "kind": kind.kind,
             "count": count}
 
 
@@ -137,11 +93,7 @@ def load_index(path: str | Path) -> VectorIndex:
         raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
     if len(blob) < _HEADER.size + _CRC.size:
         raise SnapshotCorruptError(f"{path}: file too short")
-    magic, version, _, kind_code, _, plen = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise SnapshotCorruptError(f"{path}: not an index snapshot")
-    if version != FORMAT_VERSION:
-        raise SnapshotVersionError(found=version, supported=FORMAT_VERSION)
+    kind, _, count, plen = _parse_header(path, blob)
     if len(blob) != _HEADER.size + plen + _CRC.size:
         raise SnapshotCorruptError(f"{path}: length mismatch")
     body, crc_raw = blob[:-_CRC.size], blob[-_CRC.size:]
@@ -151,71 +103,13 @@ def load_index(path: str | Path) -> VectorIndex:
         payload = json.loads(body[_HEADER.size:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotCorruptError(f"{path}: bad payload: {exc}") from exc
-    if kind_code == _KIND_CODES["flat"]:
-        return _load_flat(payload)
-    if kind_code == _KIND_CODES["hnsw"]:
-        return _load_hnsw(payload)
-    if kind_code == _KIND_CODES["ivf"]:
-        return _load_ivf(payload)
-    raise SnapshotCorruptError(f"{path}: unknown index kind {kind_code}")
-
-
-def _insert_docs(index: VectorIndex, entries: list[dict],
-                 rows: np.ndarray) -> None:
-    for i, entry in enumerate(entries):
-        index.insert(Document(id=entry["id"], text=entry["text"],
-                              metadata=entry["meta"],
-                              embedding=Vector(rows[i])))
-
-
-def _load_flat(payload: dict) -> FlatIndex:
-    index = FlatIndex()
-    _insert_docs(index, payload["docs"], _unpack(payload["vectors"]))
-    return index
-
-
-def _load_ivf(payload: dict) -> IvfIndex:
-    params = payload["params"]
-    index = IvfIndex(IvfParams(nlist=params["nlist"], nprobe=params["nprobe"],
-                               kmeans_iters=params["kmeans_iters"],
-                               seed=params["seed"]))
-    if payload["centroids"] is not None:
-        index._restore_centroids(_unpack(payload["centroids"]))
-        _insert_docs(index, payload["docs"], _unpack(payload["vectors"]))
-    return index
-
-
-def _load_hnsw(payload: dict) -> HnswIndex:
-    params = payload["params"]
-    index = HnswIndex(HnswParams(m=params["m"],
-                                 ef_construction=params["ef_construction"],
-                                 ef_search=params["ef_search"],
-                                 seed=params["seed"]))
-    rows = _unpack(payload["vectors"])
-    count = rows.shape[0]
-    if count:
-        matrix = _GrowableMatrix(rows.shape[1], capacity=count)
-        for i in range(count):
-            matrix.append(rows[i])
-        index._matrix = matrix
-        # Same per-row expression the insert path uses: a batched einsum can
-        # differ in the last bit, which is enough to flip near-tie ordering.
-        index._norms = np.array([float(rows[i] @ rows[i])
-                                 for i in range(count)])
-        index._dim = rows.shape[1]
-    index._ids = list(payload["ids"])
-    index._alive = [bool(a) for a in payload["alive"]]
-    index._levels = [int(lv) for lv in payload["levels"]]
-    index._graph = [[[int(nb) for nb in layer] for layer in node]
-                    for node in payload["graph"]]
-    index._entry = payload["entry"]
-    index._max_level = payload["max_level"]
-    index._rng.bit_generator.state = payload["rng_state"]
-    for entry in payload["docs"]:
-        slot = entry["slot"]
-        doc = Document(id=entry["id"], text=entry["text"],
-                       metadata=entry["meta"],
-                       embedding=Vector(rows[slot]))
-        index._docs[doc.id] = doc
-        index._slot_of[doc.id] = slot
+    try:
+        index = kind._from_state(payload)
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ContextDbError) as exc:
+        raise SnapshotCorruptError(f"{path}: malformed {kind.kind} payload: "
+                                   f"{type(exc).__name__}: {exc}") from exc
+    if len(index) != count:
+        raise SnapshotCorruptError(
+            f"{path}: header says {count} documents, payload has {len(index)}")
     return index

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 from .cache import ResponseCache, make_cache_key
 from .conversation import ConversationStore, Message
-from .core import Document, EmbeddingProvider, MetaValue
+from .core import Document, EmbeddingProvider, MetaValue, fmt_meta
 from .errors import StageError, StorageError, TemplateError
 from .filters import FilterExpr
 from .index.base import SearchHit, VectorIndex
@@ -108,12 +108,6 @@ class EngineeredPrompt:
     sources: PromptSources
 
 
-def _fmt_meta(value: MetaValue) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def assemble_prompt(template: PromptTemplate, question: str,
                     history: Sequence[Message], profile: Profile | None,
                     hits: Sequence[tuple[SearchHit, Document]],
@@ -132,7 +126,7 @@ def assemble_prompt(template: PromptTemplate, question: str,
     else:
         names = sorted(profile.fields)
         situation_block = "\n".join(
-            f"{n}={_fmt_meta(profile.fields[n])}" for n in names)
+            f"{n}={fmt_meta(profile.fields[n])}" for n in names)
         situation_fields = tuple(names)
     retrieved_block = "\n".join(
         f"{hit.doc_id} (distance={hit.distance:.2f}): {doc.text}"
@@ -187,8 +181,7 @@ class Pipeline:
                  llm: LlmClient, cache: ResponseCache | None = None,
                  template: PromptTemplate | None = None,
                  history_window: int = 10,
-                 clock: Callable[[], float] = time.time,
-                 questions_index: VectorIndex | None = None):
+                 clock: Callable[[], float] = time.time):
         if history_window < 1:
             raise ValueError(
                 f"history_window must be >= 1, got {history_window}")
@@ -201,8 +194,6 @@ class Pipeline:
         self.template = template if template is not None else DEFAULT_TEMPLATE
         self.history_window = history_window
         self._clock = clock
-        # opt-in: mirror each question embedding into a dedicated index
-        self.questions_index = questions_index
 
     def _now_ms(self) -> int:
         return int(self._clock() * 1000)
@@ -249,13 +240,7 @@ class Pipeline:
         def persist_step():
             meta = {"user_id": user_id,
                     "retrieved_ids": ",".join(h.doc_id for h in hits)}
-            user_msg, _ = self.record_exchange(session_id, question, text,
-                                               meta)
-            if self.questions_index is not None:
-                self.questions_index.insert(Document(
-                    id=f"q:{session_id}:{user_msg.seq}", text=question,
-                    metadata={"session_id": session_id, "user_id": user_id},
-                    embedding=qvec))
+            self.record_exchange(session_id, question, text, meta)
             # cached only now, after the exchange is durably down
             self.cache.put(key, text, self._now_ms())
 

@@ -1,19 +1,17 @@
 """Situational tier: user-profile records, read-heavy and occasionally updated.
 
-Persistence is snapshot-on-write JSONL -- every write appends the full
-profile as one line, and recovery keeps the last line per user_id. The store
-maintains an equality index per field so query_by_field is a lookup rather
-than a scan. Equality respects MetaValue kinds: the number 100 never matches
-the string "100", and changing a field's kind succeeds but logs a warning
-(per-field type stability is advisory, not enforced).
+Persistence is snapshot-on-write JSONL (see jsonl.JsonlLog) -- every write
+appends the full profile as one line, and recovery keeps the last line per
+user_id. The store maintains an equality index per field so query_by_field
+is a lookup rather than a scan. Equality respects MetaValue kinds: the
+number 100 never matches the string "100", and changing a field's kind
+succeeds but logs a warning (per-field type stability is advisory, not
+enforced).
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +19,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .core import MetaValue, _validate_metadata, meta_kind
-from .errors import ProfileNotFoundError, StorageError
+from .errors import ProfileNotFoundError
+from .jsonl import JsonlStore
 
 logger = logging.getLogger(__name__)
 
@@ -47,45 +46,13 @@ def _eq_key(value: MetaValue) -> tuple[str, MetaValue]:
     return (kind, float(value) if kind == "number" else value)
 
 
-class ProfileStore:
+class ProfileStore(JsonlStore):
     def __init__(self, path: str | Path, clock: Callable[[], float] = time.time):
-        self._path = Path(path)
         self._clock = clock
-        self._lock = threading.RLock()
         self._profiles: dict[str, Profile] = {}
         self._by_field: dict[_FieldKey, set[str]] = {}
-        self._recover()
-        try:
-            self._fh = open(self._path, "ab")
-        except OSError as exc:
-            raise StorageError(f"cannot open {self._path}: {exc}") from exc
-
-    def _recover(self) -> None:
-        if not self._path.exists():
-            return
-        try:
-            raw = self._path.read_bytes()
-        except OSError as exc:
-            raise StorageError(f"cannot read {self._path}: {exc}") from exc
-        good = len(raw)
-        lines = raw.split(b"\n")
-        tail = lines.pop()
-        if tail:
-            good -= len(tail)
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                rec = json.loads(line)
-                prof = Profile(user_id=rec["user_id"], fields=rec["fields"],
-                               updated_at=rec["updated_at"])
-            except Exception as exc:
-                if lineno == len(lines) and not tail:
-                    good -= len(line) + 1
-                    break
-                raise StorageError(
-                    f"{self._path}:{lineno}: corrupt record: {exc}") from exc
-            self._install(prof)  # last line per user wins
-        if good != len(raw):
-            os.truncate(self._path, good)
+        # replay installs every line in order, so the last per user wins
+        super().__init__(path, Profile, self._install)
 
     def _install(self, prof: Profile) -> None:
         old = self._profiles.get(prof.user_id)
@@ -97,30 +64,20 @@ class ProfileStore:
             self._by_field.setdefault((name, _eq_key(value)),
                                       set()).add(prof.user_id)
 
-    def _persist(self, prof: Profile) -> Profile:
-        line = json.dumps({"user_id": prof.user_id,
-                           "fields": dict(prof.fields),
-                           "updated_at": prof.updated_at},
-                          ensure_ascii=False, separators=(",", ":")) + "\n"
-        try:
-            self._fh.write(line.encode("utf-8"))
-            self._fh.flush()
-        except OSError as exc:
-            raise StorageError(f"write to {self._path} failed: {exc}") from exc
+    def _persist(self, user_id: str,
+                 fields: Mapping[str, MetaValue]) -> Profile:
+        now = int(self._clock() * 1000)
+        old = self._profiles.get(user_id)
+        if old is not None:
+            self._warn_kind_changes(old, fields)
+            now = max(now, old.updated_at + 1)  # must strictly increase
+        prof = Profile(user_id=user_id, fields=fields, updated_at=now)
+        self._log.append(prof)
         self._install(prof)
         return prof
 
-    def _next_stamp(self, user_id: str) -> int:
-        now = int(self._clock() * 1000)
-        old = self._profiles.get(user_id)
-        if old is not None and now <= old.updated_at:
-            now = old.updated_at + 1  # updated_at must strictly increase
-        return now
-
-    def _warn_kind_changes(self, old: Profile | None,
+    def _warn_kind_changes(self, old: Profile,
                            fields: Mapping[str, MetaValue]) -> None:
-        if old is None:
-            return
         for name, value in fields.items():
             if name in old.fields and \
                     meta_kind(old.fields[name]) != meta_kind(value):
@@ -135,9 +92,7 @@ class ProfileStore:
                     fields: Mapping[str, MetaValue]) -> Profile:
         """Full replace of the user's fields (creates the profile if new)."""
         with self._lock:
-            self._warn_kind_changes(self._profiles.get(user_id), fields)
-            return self._persist(Profile(user_id=user_id, fields=fields,
-                                         updated_at=self._next_stamp(user_id)))
+            return self._persist(user_id, fields)
 
     def get_profile(self, user_id: str) -> Profile | None:
         with self._lock:
@@ -151,11 +106,9 @@ class ProfileStore:
             old = self._profiles.get(user_id)
             if old is None:
                 raise ProfileNotFoundError(user_id)
-            self._warn_kind_changes(old, {name: value})
             fields = dict(old.fields)
             fields[name] = value
-            return self._persist(Profile(user_id=user_id, fields=fields,
-                                         updated_at=self._next_stamp(user_id)))
+            return self._persist(user_id, fields)
 
     def query_by_field(self, name: str, value: MetaValue) -> list[Profile]:
         """All profiles whose field equals value (same kind), by user_id."""
@@ -166,18 +119,3 @@ class ProfileStore:
     def list_users(self) -> list[str]:
         with self._lock:
             return sorted(self._profiles)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-
-    def __enter__(self) -> "ProfileStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

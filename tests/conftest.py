@@ -7,6 +7,11 @@ and store behavior is checked against something that cannot share its bugs.
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +48,23 @@ def make_docs(data: np.ndarray, prefix: str = "d",
         docs.append(Document(id=f"{prefix}{i:05d}", text=f"text {i}",
                              metadata=meta, embedding=Vector(row)))
     return docs
+
+
+# index snapshot header: magic, version, dim, kind, count, payload length
+HEADER = struct.Struct("<8sIIBQQ")
+
+
+def rewrite_payload(path: Path, edit) -> None:
+    """Apply edit to a snapshot's decoded payload and re-frame it with a
+    valid CRC, so only the payload's shape is wrong."""
+    blob = path.read_bytes()
+    fields = list(HEADER.unpack_from(blob))
+    payload = json.loads(blob[HEADER.size:-4])
+    edit(payload)
+    body = json.dumps(payload).encode("utf-8")
+    fields[-1] = len(body)
+    blob = HEADER.pack(*fields) + body
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from contextdb import load_index
 from contextdb.cli import load_config, main
+from conftest import rewrite_payload
 
 
 def run_cli(args, tmp_home, stdin: str | None = None):
@@ -147,6 +148,38 @@ class TestIngestAndQuery:
                                 "--q", "x"], home)
         assert code == 2
         assert "run `ingest` first" in err
+
+    def _ingested(self, home, tmp_path):
+        catalog = tmp_path / "shoes.jsonl"
+        write_catalog(catalog, SHOES_JSONL)
+        code, _, _ = run_cli(["ingest", "--catalog", str(catalog), "--index",
+                              str(tmp_path / "idx"), "--embedder",
+                              "fixture"], home)
+        assert code == 0
+        return tmp_path / "idx"
+
+    def _query(self, home, index_dir):
+        return run_cli(["query", "--index", str(index_dir), "--q",
+                        "I need comfortable running shoes under $100"], home)
+
+    def test_snapshot_payload_without_docs_is_a_data_error(self, home,
+                                                           tmp_path):
+        index_dir = self._ingested(home, tmp_path)
+        rewrite_payload(index_dir / "index.snap", lambda p: p.pop("docs"))
+        code, _, err = self._query(home, index_dir)
+        assert code == 2, err
+        assert "malformed flat payload" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("record", [
+        "{not json", '{"dim": 2}', '["fixture"]',
+        '{"embedder": "hash", "dim": "x"}'])
+    def test_malformed_embedder_record_is_a_data_error(self, home, tmp_path,
+                                                       record):
+        index_dir = self._ingested(home, tmp_path)
+        (index_dir / "embedder.json").write_text(record)
+        code, _, err = self._query(home, index_dir)
+        assert code == 2, err
+        assert "malformed embedder record" in err and "Traceback" not in err
 
     def test_filter_parse_error_exits_1_with_column(self, home, tmp_path):
         catalog = tmp_path / "c.jsonl"

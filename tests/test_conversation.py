@@ -1,4 +1,5 @@
 import json
+import logging
 import threading
 import time
 
@@ -173,6 +174,34 @@ class TestRecovery:
         store_path.write_bytes(raw + b'{"session_id":"s","seq":6\n')
         with ConversationStore(store_path) as store:
             assert store.count("s") == 6
+
+    def test_healed_torn_line_logs_one_warning(self, store_path, caplog):
+        self._fill(store_path)
+        torn = b'{"session_id":"s","seq":6,"ro'
+        store_path.write_bytes(store_path.read_bytes() + torn)
+        with caplog.at_level(logging.WARNING, logger="contextdb"):
+            ConversationStore(store_path).close()
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name.startswith("contextdb.")
+        assert str(store_path) in record.getMessage()
+        assert f"{len(torn)} bytes" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="contextdb"):
+            ConversationStore(store_path).close()  # clean now: no warning
+        assert caplog.records == []
+
+    def test_seq_gap_leaves_the_file_untouched(self, store_path):
+        self._fill(store_path)
+        lines = store_path.read_bytes().splitlines(keepends=True)
+        rec = json.loads(lines[3])
+        rec["seq"] = 9
+        lines[3] = json.dumps(rec).encode() + b"\n"
+        raw = b"".join(lines) + b'{"session_id":"s","se'  # and a torn tail
+        store_path.write_bytes(raw)
+        with pytest.raises(StorageError, match="expected seq 3"):
+            ConversationStore(store_path)
+        assert store_path.read_bytes() == raw
 
     def test_midfile_corruption_is_refused(self, store_path):
         self._fill(store_path)

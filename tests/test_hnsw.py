@@ -184,7 +184,7 @@ def reference_select(index: HnswIndex, pairs: list[tuple[float, int]], m: int,
         return [s for _, s in pairs], len(pairs)
     slots = np.array([s for _, s in pairs], dtype=np.int64)
     dq2 = np.array([d * d for d, _ in pairs])
-    x = index._matrix.rows[slots]
+    x = index._table.rows[slots]
     p2 = index._norms[slots][:, None] + index._norms[slots][None, :] \
         - 2.0 * (x @ x.T)
     np.maximum(p2, 0.0, out=p2)
@@ -211,7 +211,7 @@ class TestConstruction:
     def test_select_neighbors_matches_reference_scan(self, rng):
         data = unit_rows(rng, 300, 8)
         index = build(data)
-        rows = index._matrix.rows
+        rows = index._table.rows
         cut_short = backfilled = 0
         for _ in range(60):
             n = int(rng.integers(2, 120))

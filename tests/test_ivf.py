@@ -37,6 +37,7 @@ class TestTraining:
         with pytest.raises(NotTrainedError):
             ivf.search(Vector([1.0]), 1)
         assert not ivf.trained
+        assert ivf.dim is None  # the refused insert fixed no dimension
 
     def test_train_once_only(self, rng):
         data = unit_rows(rng, 100, 4)

@@ -258,16 +258,6 @@ class TestHandleQuery:
             pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert exc_info.value.stage == "search"  # empty index
 
-    def test_questions_index_opt_in(self, tmp_path):
-        side = FlatIndex()
-        pipe = make_pipeline(tmp_path, questions_index=side)
-        assert len(side) == 0
-        pipe.handle_query("s1", "u1", DEMO_QUESTION)
-        assert len(side) == 1
-        doc = side.get("q:s1:0")
-        assert doc.text == DEMO_QUESTION
-        assert doc.metadata["user_id"] == "u1"
-
     def test_cached_hit_skips_llm_entirely(self, tmp_path):
         llm = RecordingLlm()
         pipe = make_pipeline(tmp_path, llm=llm)

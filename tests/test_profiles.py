@@ -194,6 +194,19 @@ class TestDurability:
         with ProfileStore(store_path) as store:
             assert store.get_profile("u1").fields["a"] == 2
 
+    def test_healed_torn_line_logs_one_warning(self, store_path, caplog):
+        with ProfileStore(store_path) as store:
+            store.put_profile("u1", {"a": 1})
+        torn = b'{"user_id":"u1","fields":{"a":3}}\n'  # no updated_at
+        store_path.write_bytes(store_path.read_bytes() + torn)
+        with caplog.at_level(logging.WARNING, logger="contextdb"):
+            with ProfileStore(store_path) as store:
+                assert store.get_profile("u1").fields["a"] == 1
+        [record] = caplog.records
+        assert record.name.startswith("contextdb.")
+        assert str(store_path) in record.getMessage()
+        assert f"{len(torn)} bytes" in record.getMessage()
+
     def test_midfile_corruption_is_refused(self, store_path):
         with ProfileStore(store_path) as store:
             for i in range(4):

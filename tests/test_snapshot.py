@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -7,7 +8,8 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        IvfParams, SnapshotCorruptError, SnapshotVersionError,
                        StorageError, Vector, load_index, read_header,
                        save_index)
-from conftest import make_docs, unit_rows
+from conftest import HEADER, make_docs, rewrite_payload, unit_rows
+from snapshot_v1 import make as snapshot_v1
 
 
 def build_each_kind(rng):
@@ -155,3 +157,66 @@ class TestCorruption:
         with pytest.raises(SnapshotVersionError) as exc_info:
             read_header(path)
         assert exc_info.value.found == 99
+
+
+class TestFormatV1:
+    """Fixtures written by the code from before per-kind snapshot state (see
+    snapshot_v1/make.py) pin format v1 in both directions."""
+
+    @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+    def test_fixture_loads_hit_for_hit(self, kind):
+        recorded = json.loads((snapshot_v1.HERE / "hits.json").read_text())
+        index = load_index(snapshot_v1.HERE / f"{kind}.snap")
+        assert index.kind == kind and len(index) == 17
+        assert snapshot_v1.hits_of(index) == recorded[kind]
+        assert index.get("d07").text == "doc 7, moved"
+        assert "d11" not in index
+
+    @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+    def test_save_writes_the_fixture_bytes(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.snap"
+        snapshot_v1.build(kind).save(path)
+        assert path.read_bytes() == \
+            (snapshot_v1.HERE / f"{kind}.snap").read_bytes()
+
+
+def payload_keys(kind):
+    state = json.loads(
+        (snapshot_v1.HERE / f"{kind}.snap").read_bytes()[HEADER.size:-4])
+    return [(kind, key) for key in state]
+
+
+class TestMalformedPayload:
+    """A payload that passes its checksum but has the wrong shape is a
+    corrupt snapshot, not a crash."""
+
+    @pytest.mark.parametrize("kind,key", [kk for kind in snapshot_v1.KINDS
+                                          for kk in payload_keys(kind)])
+    @pytest.mark.parametrize("how", ["missing", "mistyped"])
+    def test_raises_snapshot_corrupt(self, tmp_path, kind, key, how):
+        path = tmp_path / "m.snap"
+        snapshot_v1.build(kind).save(path)
+
+        def edit(payload):
+            if how == "missing":
+                del payload[key]
+            else:
+                payload[key] = "x"
+
+        rewrite_payload(path, edit)
+        with pytest.raises(SnapshotCorruptError, match="malformed"):
+            load_index(path)
+
+    def test_hnsw_entry_outside_the_graph(self, tmp_path):
+        path = tmp_path / "e.snap"
+        snapshot_v1.build("hnsw").save(path)
+        rewrite_payload(path, lambda p: p.update(entry=10 ** 6))
+        with pytest.raises(SnapshotCorruptError):
+            load_index(path)
+
+    def test_fewer_documents_than_the_header_counts(self, tmp_path):
+        path = tmp_path / "c.snap"
+        snapshot_v1.build("hnsw").save(path)
+        rewrite_payload(path, lambda p: p["docs"].pop())
+        with pytest.raises(SnapshotCorruptError, match="header says 17"):
+            load_index(path)
