@@ -8,7 +8,8 @@ exists, otherwise the least-recently-used entry outright.
 
 Keys are per-user fingerprints of the canonicalized question
 (trimmed, lowercased, whitespace-collapsed) so personalized answers never
-leak across users.
+leak across users, and of the parsed filter when the turn has one, so an
+answer is never served for a filter it was not retrieved under.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from .filters import FilterExpr
+
 DEFAULT_CAPACITY = 1024
 DEFAULT_TTL_MS = 5 * 60 * 1000
 
@@ -26,8 +29,11 @@ def canonical_question(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def make_cache_key(user_id: str, question: str) -> str:
+def make_cache_key(user_id: str, question: str,
+                   filt: FilterExpr | None = None) -> str:
     raw = f"{user_id}\x1f{canonical_question(question)}"
+    if filt:  # its parsed clauses: the spacing of the filter text is moot
+        raw += f"\x1f{filt!r}"
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 

@@ -11,10 +11,11 @@ a gap in any session's seq.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import MetaValue, _validate_metadata
 from .jsonl import JsonlStore
@@ -48,6 +49,7 @@ class ConversationStore(JsonlStore):
     def __init__(self, path: str | Path, clock: Callable[[], float] = time.time):
         self._clock = clock
         self._sessions: dict[str, list[Message]] = {}
+        self._staged: list[Message] | None = None  # set inside batch()
         super().__init__(path, Message, self._replay)
 
     def _replay(self, msg: Message) -> None:
@@ -69,10 +71,36 @@ class ConversationStore(JsonlStore):
                 now = max(now, history[-1].timestamp)
             msg = Message(session_id=session_id, seq=len(history), role=role,
                           text=text, timestamp=now, metadata=metadata or {})
-            self._log.append(msg)
-            # memory is updated only after the bytes are down
+            if self._staged is None:
+                self._log.append(msg)
+            else:
+                self._staged.append(msg)
+            # memory is updated only after the bytes are down (in a batch,
+            # undone if they never go down)
             self._sessions.setdefault(session_id, history).append(msg)
             return msg
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """The messages appended inside the block reach the log in one
+        append when it ends: all of them, or on any failure none, and then
+        the store is as it was before the block. Other threads wait; a
+        batch inside a batch is part of the outer one."""
+        with self._lock:
+            if self._staged is not None:
+                yield
+                return
+            self._staged = staged = []
+            try:
+                yield
+                if staged:
+                    self._log.append(*staged)
+            except BaseException:
+                for msg in reversed(staged):
+                    self._sessions[msg.session_id].pop()
+                raise
+            finally:
+                self._staged = None
 
     # -- reads ------------------------------------------------------------
 

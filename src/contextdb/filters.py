@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Mapping
 
 from .core import Document, MetaValue, meta_kind
 from .errors import FilterParseError, FilterTypeMismatchError
@@ -74,6 +75,11 @@ class FilterExpr:
     def __bool__(self) -> bool:
         return bool(self.clauses)
 
+    def matches(self, metadata: Mapping[str, MetaValue]) -> bool:
+        """True iff every clause holds. A clause on an absent field is false,
+        not an error, so heterogeneous catalogs stay queryable."""
+        return all(_clause_holds(clause, metadata) for clause in self.clauses)
+
 
 def _typed_eq(field: str, stored: MetaValue, literal: MetaValue) -> bool:
     stored_kind = meta_kind(stored)
@@ -110,12 +116,8 @@ def _clause_holds(clause: Clause, metadata) -> bool:
 
 
 def evaluate_filter(expr: FilterExpr, doc: Document) -> bool:
-    """True iff every clause holds against doc.metadata.
-
-    A clause naming a field absent from the metadata evaluates false rather
-    than erroring, so heterogeneous catalogs stay queryable.
-    """
-    return all(_clause_holds(clause, doc.metadata) for clause in expr.clauses)
+    """expr.matches(doc.metadata)."""
+    return expr.matches(doc.metadata)
 
 
 # --- string grammar ---------------------------------------------------------

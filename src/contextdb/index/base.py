@@ -1,5 +1,5 @@
-"""Shared scaffolding for the vector indexes: document table, the slot table
-of rows, dimension checks, deterministic hit assembly, the hybrid
+"""Shared scaffolding for the vector indexes: the slot table that stores the
+documents, dimension checks, deterministic hit assembly, the hybrid
 filtered-search strategy, and the snapshot state of the slot-table kinds.
 
 Ordering contract used everywhere: hits sorted by (distance, doc_id)
@@ -15,13 +15,13 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import Document, Vector
+from ..core import Document, MetaValue, Vector
 from ..errors import DimensionMismatchError, EmptyIndexError
-from ..filters import FilterExpr, evaluate_filter
+from ..filters import FilterExpr
 
 
 @dataclass(frozen=True)
@@ -65,31 +65,30 @@ def unpack_array(obj: dict) -> np.ndarray:
         np.float64)
 
 
-def doc_entry(doc: Document) -> dict:
-    """A document's snapshot entry, without its vector."""
-    return {"id": doc.id, "text": doc.text, "meta": dict(doc.metadata)}
-
-
 class SlotTable:
-    """Dense float64 rows, one per slot, with slot -> id and id -> slot.
+    """The stored documents: per slot a float64 row, id, text and metadata,
+    with slot_of mapping each live id to its slot.
 
-    Rows grow amortized (capacity doubles). swap_remove() moves the last row
-    into the freed slot, so the rows are always exactly the live vectors and
-    a scan touches nothing stale. An index that tombstones instead (hnsw)
-    only appends; its dead slots keep their stale id in `ids`.
-    """
+    Rows grow amortized (capacity doubles). swap_remove() moves the last slot
+    into the freed one, so the slots are always exactly the live documents
+    and a scan touches nothing stale. An index that tombstones instead (hnsw)
+    only appends; a dead slot keeps its row and stale id, not its text and
+    metadata (None)."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
         self.count = 0
         self.ids: list[str] = []
+        self.texts: list[str | None] = []
+        self.metas: list[Mapping[str, MetaValue] | None] = []
         self.slot_of: dict[str, int] = {}
 
     @property
     def rows(self) -> np.ndarray:
         return self._data[: self.count]
 
-    def append(self, doc_id: str, values: np.ndarray) -> int:
+    def append(self, doc_id: str, values: np.ndarray, text: str | None = None,
+               meta: Mapping[str, MetaValue] | None = None) -> int:
         slot = self.count
         if slot == self._data.shape[0]:
             grown = np.zeros((max(2 * slot, 64), values.shape[0]))
@@ -99,20 +98,23 @@ class SlotTable:
         self._data[slot] = values
         self.count = slot + 1
         self.ids.append(doc_id)
+        self.texts.append(text)
+        self.metas.append(meta)
         self.slot_of[doc_id] = slot
         return slot
 
     def swap_remove(self, doc_id: str) -> tuple[int, int]:
-        """Drop doc_id's row. Returns (slot, last): the row that sat in the
-        last slot now sits in the freed one (slot == last: nothing moved)."""
-        slot = self.slot_of.pop(doc_id)
+        """Free doc_id's slot for the last one, returning (slot, last). The
+        caller drops doc_id from slot_of or re-points it."""
+        slot = self.slot_of[doc_id]
         last = self.count - 1
         if slot != last:
-            moved = self.ids[last]
             self._data[slot] = self._data[last]
-            self.ids[slot] = moved
-            self.slot_of[moved] = slot
-        self.ids.pop()
+            for column in (self.ids, self.texts, self.metas):
+                column[slot] = column[last]
+            self.slot_of[self.ids[slot]] = slot
+        for column in (self.ids, self.texts, self.metas):
+            column.pop()
         self.count = last
         return slot, last
 
@@ -123,7 +125,6 @@ class VectorIndex(ABC):
     kind: ClassVar[str]
 
     def __init__(self):
-        self._docs: dict[str, Document] = {}
         self._dim: int | None = None
         self._lock = threading.RLock()
         self._table = SlotTable()
@@ -135,13 +136,19 @@ class VectorIndex(ABC):
         return self._dim
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._table.slot_of)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
+        return doc_id in self._table.slot_of
 
     def get(self, doc_id: str) -> Document | None:
-        return self._docs.get(doc_id)
+        """A new Document equal to the stored one; its embedding is a copy
+        of the row, which a swap-remove may overwrite in place."""
+        with self._lock:
+            t, slot = self._table, self._table.slot_of.get(doc_id)
+            return None if slot is None else Document(
+                id=doc_id, text=t.texts[slot], metadata=t.metas[slot],
+                embedding=Vector(t.rows[slot]))
 
     # -- mutation ---------------------------------------------------------
 
@@ -149,18 +156,17 @@ class VectorIndex(ABC):
         """Add or atomically replace the document with this id."""
         with self._lock:
             self._check_insert_dim(doc.embedding.dim)
-            if doc.id in self._docs:
-                self._remove_vector(doc.id)
-            self._insert_vector(doc.id, doc.embedding.values)
-            self._docs[doc.id] = doc
+            if doc.id in self._table.slot_of:
+                self._remove_vector(doc.id)  # the insert re-points the id
+            self._insert_vector(doc)
 
     def remove(self, doc_id: str) -> bool:
         """Remove the document; returns whether it was present."""
         with self._lock:
-            if doc_id not in self._docs:
+            if doc_id not in self._table.slot_of:
                 return False
             self._remove_vector(doc_id)
-            del self._docs[doc_id]
+            del self._table.slot_of[doc_id]
             return True
 
     # -- search ------------------------------------------------------------
@@ -173,7 +179,7 @@ class VectorIndex(ABC):
         return fewer than k when the probed lists run short)."""
         with self._lock:
             self._check_search_ready(query, k)
-            pairs = self._nearest(query.values, min(k, len(self._docs)), **overrides)
+            pairs = self._nearest(query.values, min(k, len(self)), **overrides)
             return self._to_hits(pairs, k)
 
     def search_filtered(self, query: Vector, k: int, filt: FilterExpr,
@@ -189,13 +195,14 @@ class VectorIndex(ABC):
         """Approximate kinds oversample max(4k, k+32) candidates, post-filter,
         and retry with doubled oversampling up to 3 times before settling for
         a short list; the flat index overrides this with an exact scan."""
-        total = len(self._docs)
+        total = len(self)
+        metas, slot_of = self._table.metas, self._table.slot_of
         fetch = max(4 * k, k + 32)
         kept: list[tuple[float, str]] = []
         for _ in range(4):  # initial attempt + 3 doubled retries
             fetch = min(fetch, total)
             pairs = self._nearest(q, fetch, **overrides)
-            kept = [p for p in pairs if evaluate_filter(filt, self._docs[p[1]])]
+            kept = [p for p in pairs if filt.matches(metas[slot_of[p[1]]])]
             if len(kept) >= k or len(pairs) >= total:
                 break
             fetch *= 2
@@ -213,8 +220,10 @@ class VectorIndex(ABC):
     def _state(self) -> dict[str, Any]:
         """The snapshot payload: here the documents in slot order and their
         rows; kinds with more state add to it or replace it."""
-        return {"docs": [doc_entry(self._docs[i]) for i in self._table.ids],
-                "vectors": pack_array(self._table.rows)}
+        t = self._table
+        return {"docs": [{"id": i, "text": text, "meta": dict(meta)} for
+                         i, text, meta in zip(t.ids, t.texts, t.metas)],
+                "vectors": pack_array(t.rows)}
 
     @classmethod
     def _from_state(cls, state: dict[str, Any]) -> "VectorIndex":
@@ -229,17 +238,19 @@ class VectorIndex(ABC):
         rows = unpack_array(state["vectors"])
         if len(state["docs"]) != rows.shape[0]:
             raise ValueError("documents and vectors differ in number")
-        for i, entry in enumerate(state["docs"]):
-            self.insert(Document(id=entry["id"], text=entry["text"],
-                                 metadata=entry["meta"],
-                                 embedding=Vector(rows[i])))
+        for entry, row in zip(state["docs"], rows):
+            self.insert(Document(entry["id"], entry["text"], entry["meta"],
+                                 Vector(row)))
 
     # -- hooks for subclasses -----------------------------------------------
 
-    def _insert_vector(self, doc_id: str, values: np.ndarray) -> None:
-        self._table.append(doc_id, values)
+    def _insert_vector(self, doc: Document) -> int:
+        """Store doc in a new slot; returns the slot."""
+        return self._table.append(doc.id, doc.embedding.values, doc.text,
+                                  doc.metadata)
 
     def _remove_vector(self, doc_id: str) -> None:
+        """Free doc_id's slot; the caller drops or re-points the id."""
         self._table.swap_remove(doc_id)
 
     @abstractmethod
@@ -253,7 +264,7 @@ class VectorIndex(ABC):
             raise DimensionMismatchError(expected=self._dim, got=got)
 
     def _check_search_ready(self, query: Vector, k: int) -> None:
-        if not self._docs:
+        if not self._table.slot_of:
             raise EmptyIndexError(f"cannot search an empty {self.kind} index")
         if self._dim is not None and query.dim != self._dim:
             raise DimensionMismatchError(expected=self._dim, got=query.dim, what="query")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..filters import FilterExpr, evaluate_filter
+from ..filters import FilterExpr
 from .base import VectorIndex, boundary_cut, rows_to_query_distances
 
 
@@ -26,10 +26,9 @@ class FlatIndex(VectorIndex):
     def _filtered(self, q: np.ndarray, k: int,
                   filt: FilterExpr) -> list[tuple[float, str]]:
         """Exact: restrict the scan to matching rows, then take the k nearest."""
-        ids = self._table.ids
-        keep = [i for i, doc_id in enumerate(ids)
-                if evaluate_filter(filt, self._docs[doc_id])]
+        t = self._table
+        keep = [i for i, meta in enumerate(t.metas) if filt.matches(meta)]
         if not keep:
             return []
-        dists = rows_to_query_distances(self._table.rows[keep], q)
-        return [(float(dists[j]), ids[i]) for j, i in enumerate(keep)]
+        dists = rows_to_query_distances(t.rows[keep], q)
+        return [(float(dists[j]), t.ids[i]) for j, i in enumerate(keep)]

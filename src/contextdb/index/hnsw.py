@@ -30,11 +30,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from ..core import Document, Vector
-from .base import VectorIndex, doc_entry, pack_array, unpack_array
+from ..core import Document, _validate_metadata
+from .base import VectorIndex, pack_array, unpack_array
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,16 @@ class HnswIndex(VectorIndex):
         self._mult = 1.0 / math.log(self.params.m)
         self._rng = np.random.default_rng(self.params.seed)
         # Slot-indexed, grow-only state. Tombstoned slots stay in place:
-        # the slot table only appends, and its ids keep the stale id of a
-        # dead slot.
+        # the slot table only appends, and a dead slot keeps its row and id.
         self._norms = np.zeros(64, dtype=np.float64)
-        self._alive: list[bool] = []
         self._levels: list[int] = []
         self._graph: list[list[list[int]]] = []   # slot -> layer -> neighbors
-        # layer - 1 -> slots with level >= layer, ascending; covers the slots
-        # below _layered (see _index_layers)
-        self._upper: list[list[int]] = []
-        self._layered = 0
         self._entry: int | None = None
         self._max_level = -1
 
     @property
     def _slot_of(self) -> dict[str, int]:
-        """Live doc id -> slot."""
+        """Live doc id -> slot (benchmark/tests/test_smoke.py reads it)."""
         return self._table.slot_of
 
     # -- slot bookkeeping --------------------------------------------------
@@ -116,7 +111,6 @@ class HnswIndex(VectorIndex):
             grown[:slot] = self._norms[:slot]
             self._norms = grown
         self._norms[slot] = float(values @ values)
-        self._alive.append(True)
         self._levels.append(level)
         self._graph.append([[] for _ in range(level + 1)])
         return slot
@@ -147,11 +141,11 @@ class HnswIndex(VectorIndex):
         route) but never enter the result heap. The frontier stays open while
         candidates sit within _BEAM_SLACK of the kth best distance so far."""
         slack = self._BEAM_SLACK
-        graph, alive = self._graph, self._alive
+        graph, metas = self._graph, self._table.metas  # None: a tombstone
         visited = {entry}
         cand: list[tuple[float, int]] = [(dist[entry], entry)]  # min-heap
         res: list[tuple[float, int]] = []       # max-heap via negation
-        if alive[entry]:
+        if metas[entry] is not None:
             res.append((-dist[entry], entry))
         while cand:
             d, c = heapq.heappop(cand)
@@ -164,21 +158,12 @@ class HnswIndex(VectorIndex):
                 dn = dist[nb]
                 if len(res) < ef or dn < slack * -res[0][0]:
                     heapq.heappush(cand, (dn, nb))
-                    if alive[nb] and (len(res) < ef or dn < -res[0][0]):
+                    if metas[nb] is not None and \
+                            (len(res) < ef or dn < -res[0][0]):
                         heapq.heappush(res, (-dn, nb))
                         if len(res) > ef:
                             heapq.heappop(res)
         return sorted((-nd, s) for nd, s in res)
-
-    def _index_layers(self) -> None:
-        """Add the slots created since the last call to _upper: one per
-        insert, or all of them once after a snapshot load."""
-        for slot in range(self._layered, len(self._levels)):
-            for layer in range(1, self._levels[slot] + 1):
-                if layer > len(self._upper):
-                    self._upper.append([])
-                self._upper[layer - 1].append(slot)
-        self._layered = len(self._levels)
 
     def _candidates(self, dist: np.ndarray,
                     layer: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +173,7 @@ class HnswIndex(VectorIndex):
         if layer == 0:
             d, slots = dist, np.arange(dist.shape[0])
         else:
-            slots = np.array(self._upper[layer - 1], dtype=np.int64)
+            slots = np.flatnonzero(np.array(self._levels[:len(dist)]) >= layer)
             d = dist[slots]
         ef = self.params.ef_construction
         if d.shape[0] > ef:
@@ -259,19 +244,20 @@ class HnswIndex(VectorIndex):
 
     # -- VectorIndex hooks ----------------------------------------------------
 
-    def _insert_vector(self, doc_id: str, values: np.ndarray) -> None:
+    def _insert_vector(self, doc: Document) -> None:
+        values = doc.embedding.values
         u = self._rng.random()
         while u == 0.0:  # log(0) guard; practically unreachable
             u = self._rng.random()
         level = int(-math.log(u) * self._mult)
-        if self._entry is None:
-            slot = self._append_slot(doc_id, values, level)
-            self._entry = slot
-            self._max_level = level
+        # distances to every slot but the one added below
+        dist = None if self._entry is None else self._distances_to(values)
+        slot = self._append_slot(doc.id, values, level)
+        self._table.texts[slot] = doc.text
+        self._table.metas[slot] = doc.metadata
+        if dist is None:
+            self._entry, self._max_level = slot, level
             return
-        dist = self._distances_to(values)  # excludes the slot added below
-        self._index_layers()
-        slot = self._append_slot(doc_id, values, level)
         m = self.params.m
         for layer in range(min(level, self._max_level), -1, -1):
             m_max = 2 * m if layer == 0 else m
@@ -292,7 +278,8 @@ class HnswIndex(VectorIndex):
             self._max_level = level
 
     def _remove_vector(self, doc_id: str) -> None:
-        self._alive[self._table.slot_of.pop(doc_id)] = False
+        slot = self._table.slot_of[doc_id]  # row and links stay: they route
+        self._table.texts[slot] = self._table.metas[slot] = None
 
     def _nearest(self, q: np.ndarray, n: int, *,
                  ef_search: int | None = None) -> list[tuple[float, str]]:
@@ -314,18 +301,20 @@ class HnswIndex(VectorIndex):
     def _state(self) -> dict:
         """The graph verbatim, tombstoned slots included (they still route),
         with the RNG state, so a reloaded index builds on exactly as the
-        original would."""
+        original would. Live ids keep their first-insert order."""
+        table = self._table
         return {"params": asdict(self.params),
                 "entry": self._entry,
                 "max_level": self._max_level,
                 "levels": self._levels,
-                "alive": self._alive,
-                "ids": self._table.ids,
+                "alive": [meta is not None for meta in table.metas],
+                "ids": table.ids,
                 "graph": self._graph,
                 "rng_state": self._rng.bit_generator.state,
-                "vectors": pack_array(self._table.rows),
-                "docs": [dict(doc_entry(doc), slot=self._table.slot_of[doc.id])
-                         for doc in self._docs.values()]}
+                "vectors": pack_array(table.rows),
+                "docs": [{"id": doc_id, "text": table.texts[slot],
+                          "meta": dict(table.metas[slot]), "slot": slot}
+                         for doc_id, slot in table.slot_of.items()]}
 
     @classmethod
     def _from_state(cls, state: dict) -> "HnswIndex":
@@ -334,32 +323,30 @@ class HnswIndex(VectorIndex):
                                ef_search=p["ef_search"], seed=p["seed"]))
         rows = unpack_array(state["vectors"])
         table = index._table
+        levels = state["levels"]
         for slot, doc_id in enumerate(state["ids"]):
-            table.append(doc_id, rows[slot])
+            index._append_slot(doc_id, rows[slot], int(levels[slot]))
         table.slot_of.clear()  # refilled below with the live documents
         if table.count:
-            # Same per-row expression the insert path uses: a batched einsum
-            # can differ in the last bit, which is enough to flip near-tie
-            # ordering.
-            index._norms = np.array([float(row @ row) for row in table.rows])
             index._dim = rows.shape[1]
-        index._alive = [bool(a) for a in state["alive"]]
-        index._levels = [int(lv) for lv in state["levels"]]
+        live = state["alive"]
         index._graph = [[[int(nb) for nb in layer] for layer in node]
                         for node in state["graph"]]
         index._entry = None if state["entry"] is None else int(state["entry"])
         index._max_level = int(state["max_level"])
         index._rng.bit_generator.state = state["rng_state"]
         n = table.count
-        if {len(index._alive), len(index._levels), len(index._graph)} != {n}:
+        if {len(live), len(levels), len(index._graph)} != {n}:
             raise ValueError("graph and slot table differ in size")
         if (index._entry is None) != (n == 0) or \
                 (n and index._levels[index._entry] != index._max_level):
             raise ValueError("entry point does not match the graph")
         for entry in state["docs"]:
             slot = entry["slot"]
-            index._docs[entry["id"]] = Document(
-                id=entry["id"], text=entry["text"], metadata=entry["meta"],
-                embedding=Vector(rows[slot]))
+            if not live[slot] or table.ids[slot] != entry["id"]:
+                raise ValueError(f"{entry['id']!r} is not live in slot {slot}")
             table.slot_of[entry["id"]] = slot
+            table.texts[slot] = entry["text"]
+            table.metas[slot] = MappingProxyType(
+                _validate_metadata(entry["meta"]))
         return index

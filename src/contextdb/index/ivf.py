@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Vector
+from ..core import Document, Vector
 from ..errors import NotTrainedError, TrainingDataError
 from .base import (VectorIndex, boundary_cut, pack_array, rows_to_query_distances,
                    unpack_array)
@@ -158,10 +158,10 @@ class IvfIndex(VectorIndex):
             raise NotTrainedError("ivf index must be trained before use")
         super()._check_search_ready(query, k)
 
-    def _insert_vector(self, doc_id: str, values: np.ndarray) -> None:
-        diff = self._centroids - values
+    def _insert_vector(self, doc: Document) -> None:
+        diff = self._centroids - doc.embedding.values
         cid = int(np.einsum("ij,ij->i", diff, diff).argmin())
-        self._lists[cid].add(self._table.append(doc_id, values))
+        self._lists[cid].add(super()._insert_vector(doc))
         self._list_of.append(cid)
 
     def _remove_vector(self, doc_id: str) -> None:

@@ -1,13 +1,16 @@
 """The append-only JSONL file under both durable stores.
 
 Each line is one record of a store -- a dataclass, as a JSON object of its
-fields -- written with one write() and a flush. Reopening replays every line
-through the store's apply step. A final line that fails to decode, with or
-without its newline, is the usual crash artifact of an interrupted append:
-it is dropped, the file is cut back to the last good line, and a WARNING
-names the bytes lost. A bad line anywhere earlier refuses the whole log with
-StorageError. The cut happens only after every record has been applied, so
-a log the store refuses is left exactly as it was found.
+fields. An append writes its lines with one unbuffered write(); if that
+fails, the file is cut back to its size before the append, so it holds an
+append entirely or not at all, and no refused bytes wait in a buffer to go
+out with a later one. Reopening replays every line through the store's apply
+step. A final line that fails to decode, with or without its newline, is the
+usual crash artifact of an interrupted append: it is dropped, the file is
+cut back to the last good line, and a WARNING names the bytes lost. A bad
+line anywhere earlier refuses the whole log with StorageError. The cut
+happens only after every record has been applied, so a log the store
+refuses is left exactly as it was found.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class JsonlLog:
         self._fields_of = attrgetter(*self._names)
         self._recover(record, apply)
         try:
-            self._fh = open(self.path, "ab")
+            self._fh = open(self.path, "ab", buffering=0)
+            self._size = os.fstat(self._fh.fileno()).st_size
         except OSError as exc:
             raise StorageError(f"cannot open {self.path}: {exc}") from exc
 
@@ -73,22 +77,30 @@ class JsonlLog:
             logger.warning("%s: dropped a torn final line (%d bytes)",
                            self.path, len(raw) - good)
 
-    def append(self, record: Any) -> None:
-        """Write one record as one line and flush it to the OS."""
+    def append(self, *records: Any) -> None:
+        """Write the records, one line each, to the OS in one write: all of
+        them, or on failure none."""
         # default=dict writes the read-only mapping fields as objects
-        line = json.dumps(dict(zip(self._names, self._fields_of(record))),
-                          ensure_ascii=False, separators=(",", ":"),
-                          default=dict) + "\n"
+        data = "".join(
+            json.dumps(dict(zip(self._names, self._fields_of(record))),
+                       ensure_ascii=False, separators=(",", ":"),
+                       default=dict) + "\n"
+            for record in records).encode("utf-8")
         try:
-            self._fh.write(line.encode("utf-8"))
-            self._fh.flush()
+            written = self._fh.write(data)
+            if written != len(data):
+                raise OSError(f"wrote {written} of {len(data)} bytes")
         except OSError as exc:
-            raise StorageError(
-                f"append to {self.path} failed: {exc}") from exc
+            problem = f"append to {self.path} failed: {exc}"
+            try:
+                os.ftruncate(self._fh.fileno(), self._size)
+            except OSError as cut:
+                problem += f"; cutting it back failed too: {cut}"
+            raise StorageError(problem) from exc
+        self._size += len(data)
 
     def close(self) -> None:
         if not self._fh.closed:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
 

@@ -212,7 +212,7 @@ class Pipeline:
             finally:
                 timings[stage] = (time.perf_counter() - t0) * 1000.0
 
-        key = make_cache_key(user_id, question)
+        key = make_cache_key(user_id, question, filt)
         hit_text = run("cache", lambda: self.cache.get(key, self._now_ms()))
         if hit_text is not None:
             return PipelineResponse(text=hit_text, cached=True, retrieved=(),
@@ -252,12 +252,13 @@ class Pipeline:
     def record_exchange(self, session_id: str, question: str, answer: str,
                         meta: Mapping[str, MetaValue] | None = None,
                         ) -> tuple[Message, Message]:
-        """Append the user question then the assistant answer; meta lands on
-        the assistant message."""
-        user_msg = self.conversations.append_message(
-            session_id, "user", question, {})
-        assistant_msg = self.conversations.append_message(
-            session_id, "assistant", answer, meta or {})
+        """Append the user question then the assistant answer, both or
+        neither; meta lands on the assistant message."""
+        with self.conversations.batch():
+            user_msg = self.conversations.append_message(
+                session_id, "user", question, {})
+            assistant_msg = self.conversations.append_message(
+                session_id, "assistant", answer, meta or {})
         return user_msg, assistant_msg
 
     @staticmethod

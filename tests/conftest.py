@@ -7,6 +7,7 @@ and store behavior is checked against something that cannot share its bugs.
 
 from __future__ import annotations
 
+import errno
 import json
 import struct
 import zlib
@@ -65,6 +66,39 @@ def rewrite_payload(path: Path, edit) -> None:
     fields[-1] = len(body)
     blob = HEADER.pack(*fields) + body
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+class FailingFile:
+    """Stands in for the open file of a store's log (store._log._fh) and
+    fails once, as a full disk would. With fail_on="write", the first write
+    whose bytes contain marker gets half of them out and then raises; with
+    fail_on="flush", the first flush after such a write raises."""
+
+    def __init__(self, inner, marker: bytes, fail_on: str = "write"):
+        self.inner = inner
+        self.marker = marker
+        self.fail_on = fail_on
+        self.armed = False  # a marked write went through; flush fails
+        self.failed = False
+
+    def write(self, data):
+        data = bytes(data)
+        if not self.failed and self.marker in data:
+            if self.fail_on == "write":
+                self.failed = True
+                self.inner.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.armed = True
+        return self.inner.write(data)
+
+    def flush(self):
+        if self.armed:
+            self.armed, self.failed = False, True
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.inner.flush()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -18,13 +18,15 @@ from conftest import brute_force_knn, unit_rows
 DIM = 6
 
 
-def check_slots(index, live: dict[str, np.ndarray]) -> None:
+def check_slots(index, live: dict[str, np.ndarray],
+                attrs: dict[str, tuple[str, dict]]) -> None:
     table = index._table
     assert len(index) == table.count == len(live)
     assert sorted(table.slot_of) == sorted(live)
     for doc_id, slot in table.slot_of.items():
         assert table.ids[slot] == doc_id
         assert np.array_equal(table.rows[slot], live[doc_id])
+        assert (table.texts[slot], dict(table.metas[slot])) == attrs[doc_id]
     if index.kind == "ivf":
         members = sorted(s for lst in index._lists for s in lst)
         assert members == list(range(table.count))
@@ -56,6 +58,7 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
         index.train(unit_rows(rng, 120, DIM))
     queries = unit_rows(rng, 8, DIM)
     live: dict[str, np.ndarray] = {}
+    attrs: dict[str, tuple[str, dict]] = {}  # id -> (text, metadata)
     removed_last = removed_across_lists = replaced = 0
     for step in range(700):
         op = rng.random()
@@ -69,7 +72,7 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
                     index._list_of[slot] != index._list_of[last]:
                 removed_across_lists += 1
             assert index.remove(doc_id)
-            del live[doc_id]
+            del live[doc_id], attrs[doc_id]
         else:
             if live and op < 0.55:
                 doc_id = sorted(live)[rng.integers(len(live))]
@@ -77,9 +80,11 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
             else:
                 doc_id = f"c{step:04d}"
             live[doc_id] = unit_rows(rng, 1, DIM)[0]
-            index.insert(Document(id=doc_id, text=doc_id, metadata={},
+            attrs[doc_id] = (f"{doc_id} at {step}", {"step": step})
+            index.insert(Document(id=doc_id, text=attrs[doc_id][0],
+                                  metadata=attrs[doc_id][1],
                                   embedding=Vector(live[doc_id])))
-        check_slots(index, live)
+        check_slots(index, live, attrs)
         if step % 50 == 49 and live:
             check_oracle(index, live, queries)
     assert removed_last and replaced
@@ -88,7 +93,7 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
     path = tmp_path / f"{kind}.snap"
     index.save(path)
     restored = load_index(path)
-    check_slots(restored, live)
+    check_slots(restored, live, attrs)
     check_oracle(restored, live, queries)
     for q in queries:
         assert restored.search(Vector(q), 7) == index.search(Vector(q), 7)

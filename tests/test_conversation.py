@@ -6,6 +6,7 @@ import time
 import pytest
 
 from contextdb import ConversationStore, Message, StorageError
+from conftest import FailingFile
 
 
 class FakeClock:
@@ -167,6 +168,43 @@ class TestRecovery:
             assert appended.seq == 6
         with ConversationStore(store_path) as store:
             assert store.count("s") == 7
+
+    @pytest.mark.parametrize("fail_on", ["write", "flush"])
+    def test_log_holds_exactly_the_acknowledged_appends(self, store_path,
+                                                        fail_on):
+        # A refused append must leave nothing behind: neither bytes in the
+        # file nor bytes in a buffer that a later append would carry out.
+        with ConversationStore(store_path) as store:
+            store.append_message("s", "user", "m0")
+            store._log._fh = FailingFile(store._log._fh, b'"m1"', fail_on)
+            try:
+                store.append_message("s", "user", "m1")
+                acked = ["m1"]
+            except StorageError:
+                acked = []
+            store.append_message("s", "user", "m2")
+            texts = [m.text for m in store.get_history("s", 10)]
+            assert texts == ["m0", *acked, "m2"]
+        with ConversationStore(store_path) as store:
+            history = store.get_history("s", 10)
+        assert [m.text for m in history] == texts
+        assert [m.seq for m in history] == list(range(len(texts)))
+
+    def test_batch_is_one_append_or_none(self, store_path):
+        with ConversationStore(store_path) as store:
+            with pytest.raises(KeyError):
+                with store.batch():
+                    store.append_message("s", "user", "lost")
+                    raise KeyError("the block fails")
+            assert store.count("s") == 0
+            with store.batch():
+                store.append_message("s", "user", "q")
+                with store.batch():  # joins the outer batch
+                    store.append_message("s", "assistant", "a")
+                assert store_path.read_bytes() == b""
+        with ConversationStore(store_path) as store:
+            history = store.get_history("s", 10)
+        assert [(m.seq, m.text) for m in history] == [(0, "q"), (1, "a")]
 
     def test_torn_final_line_with_newline_is_dropped(self, store_path):
         self._fill(store_path)

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from contextdb import (DimensionMismatchError, Document, EmptyIndexError,
-                       FlatIndex, Vector, parse_filter)
+                       FlatIndex, HnswIndex, IvfIndex, IvfParams, Vector,
+                       parse_filter)
 from conftest import brute_force_knn, make_docs, unit_rows
 
 
@@ -43,6 +47,32 @@ class TestMutation:
         with pytest.raises(DimensionMismatchError):
             index.insert(Document(id="bad", text="", metadata={},
                                   embedding=Vector([1.0, 2.0, 3.0])))
+
+    @pytest.mark.parametrize("kind", ["flat", "hnsw", "ivf"])
+    def test_keeps_no_reference_to_an_inserted_vector(self, kind):
+        # the slot table's row is the only copy of a stored vector
+        if kind == "ivf":
+            index = IvfIndex(IvfParams(nlist=1))
+            index.train(np.zeros((1, 2)))
+        else:
+            index = FlatIndex() if kind == "flat" else HnswIndex()
+        doc = Document(id="a", text="t", metadata={"n": 1},
+                       embedding=Vector([1.0, 2.0]))
+        values = weakref.ref(doc.embedding.values)
+        index.insert(doc)
+        del doc
+        gc.collect()
+        assert values() is None
+        assert index.get("a") == Document(id="a", text="t", metadata={"n": 1},
+                                          embedding=Vector([1.0, 2.0]))
+
+    def test_get_returns_a_copy_that_outlives_its_slot(self):
+        index = small_index()
+        p1 = index.get("p1")
+        assert p1 == index.get("p1") and p1 is not index.get("p1")
+        index.remove("p1")  # p3, the last slot, is moved into p1's
+        assert p1.embedding == Vector([1.0, 0.0])
+        assert index.get("p3").embedding == Vector([3.0, 3.0])
 
     def test_remove_then_reinsert_after_swap_compaction(self):
         # removal swaps the last row into the hole; make sure mappings survive

@@ -129,6 +129,25 @@ class TestTombstones:
         with pytest.raises(EmptyIndexError):
             index.search(Vector([0.0, 0.0]), 1)
 
+    def test_tombstone_keeps_no_text_or_metadata(self, tmp_path, rng):
+        data = unit_rows(rng, 40, 8)
+        index = build(data)
+        index.insert(Document(id="d00003", text="moved", metadata={"x": 1},
+                              embedding=Vector(data[0])))
+        index.remove("d00007")
+        index.save(tmp_path / "h.snap")
+        for idx in (index, load_index(tmp_path / "h.snap")):
+            table = idx._table
+            dead = sorted(set(range(table.count)) - set(table.slot_of.values()))
+            assert dead == [3, 7]
+            assert [table.texts[s] for s in dead] == [None, None]
+            assert [table.metas[s] for s in dead] == [None, None]
+            # live ids stay in first-insert order: a replace keeps its place
+            assert list(table.slot_of) == [f"d{i:05d}" for i in range(40)
+                                           if i != 7]
+            assert table.slot_of["d00003"] == 40
+            assert idx.get("d00003").text == "moved"
+
     def test_reinsert_after_remove(self):
         index = HnswIndex()
         for i in range(20):
@@ -246,7 +265,7 @@ class TestConstruction:
                          ("c", [-20.0, 0.0])):
             index.insert(Document(id=name, text="", metadata={},
                                   embedding=Vector(xy)))
-        a, b, c = (index._slot_of[name] for name in "abc")
+        a, b, c = (index._table.slot_of[name] for name in "abc")
         pairs = [(10.0, a), (13.0, b), (20.0, c)]
         got = index._select_neighbors(np.array([[10.0, 13.0, 20.0]]),
                                       np.array([[a, b, c]]), 2,
@@ -259,7 +278,6 @@ class TestConstruction:
         index = build(data, m=3, ef_construction=25)
         for i in range(0, 200, 4):            # tombstones stay candidates
             index.remove(f"d{i:05d}")
-        index._index_layers()
         assert index._max_level >= 2
         # integer distances: many exact ties, broken by slot
         dist = rng.integers(0, 6, size=len(data)).astype(np.float64)

@@ -6,6 +6,7 @@ from contextdb import (DEFAULT_TEMPLATE, STAGES, ConversationStore, Document,
                        SearchHit, StageError, StorageError, TemplateError,
                        Vector, assemble_prompt, parse_filter)
 from contextdb.cli import DEMO_QUESTION, demo_index
+from conftest import FailingFile
 
 
 class RecordingLlm(LlmClient):
@@ -20,13 +21,22 @@ class RecordingLlm(LlmClient):
         return self.inner.complete(prompt)
 
 
-def make_pipeline(tmp_path, llm=None, **kw):
-    conversations = ConversationStore(tmp_path / "conv.jsonl")
-    profiles = ProfileStore(tmp_path / "prof.jsonl")
-    pipe = Pipeline(index=demo_index(), conversations=conversations,
-                    profiles=profiles, embedder=FixtureEmbedder(),
-                    llm=llm if llm is not None else MockLlm(), **kw)
-    return pipe
+@pytest.fixture
+def make_pipeline(tmp_path):
+    """Builds pipelines over the demo index and stores in tmp_path, and
+    closes their stores when the test ends."""
+    stores = []
+
+    def make(llm=None, **kw):
+        stores.append(ConversationStore(tmp_path / "conv.jsonl"))
+        stores.append(ProfileStore(tmp_path / "prof.jsonl"))
+        return Pipeline(index=demo_index(), conversations=stores[-2],
+                        profiles=stores[-1], embedder=FixtureEmbedder(),
+                        llm=llm if llm is not None else MockLlm(), **kw)
+
+    yield make
+    for store in stores:
+        store.close()
 
 
 def msg(seq, role, text):
@@ -125,8 +135,8 @@ class TestAssemblePrompt:
 
 
 class TestHandleQuery:
-    def test_demo_flow_top_hit_and_digest(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_demo_flow_top_hit_and_digest(self, make_pipeline):
+        pipe = make_pipeline()
         resp = pipe.handle_query("s1", "u1", DEMO_QUESTION, k=1,
                                  filt=parse_filter("price<100"))
         assert not resp.cached
@@ -134,14 +144,14 @@ class TestHandleQuery:
         assert resp.retrieved[0].doc_id == "reebok-floatride"
         assert resp.retrieved[0].distance == pytest.approx(0.22, abs=0.005)
 
-    def test_miss_timing_covers_exactly_the_seven_stages(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_miss_timing_covers_exactly_the_seven_stages(self, make_pipeline):
+        pipe = make_pipeline()
         resp = pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert tuple(resp.latency_breakdown) == STAGES
         assert all(ms >= 0.0 for ms in resp.latency_breakdown.values())
 
-    def test_identical_repeat_is_cached(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_identical_repeat_is_cached(self, make_pipeline):
+        pipe = make_pipeline()
         first = pipe.handle_query("s1", "u1", DEMO_QUESTION)
         second = pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert second.cached and not first.cached
@@ -151,8 +161,8 @@ class TestHandleQuery:
         # only one exchange was persisted
         assert pipe.conversations.count("s1") == 2
 
-    def test_cache_key_is_canonicalized_and_per_user(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_cache_key_is_canonicalized_and_per_user(self, make_pipeline):
+        pipe = make_pipeline()
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         same = pipe.handle_query("s1", "u1",
                                  "  i NEED comfortable running shoes under $100 ")
@@ -161,9 +171,27 @@ class TestHandleQuery:
         other_user = pipe.handle_query("s1", "u2", DEMO_QUESTION)
         assert not other_user.cached
 
-    def test_history_flows_into_prompt(self, tmp_path):
+    def test_cache_key_includes_the_filter(self, make_pipeline):
+        pipe = make_pipeline()
+        cheap = pipe.handle_query("s1", "u1", DEMO_QUESTION,
+                                  filt=parse_filter("price<100"))
+        dear = pipe.handle_query("s1", "u1", DEMO_QUESTION,
+                                 filt=parse_filter("price>=100"))
+        assert not dear.cached
+        refs = dear.text.rsplit("references: ", 1)[1].split(", ")
+        assert refs == ["asics-gel-kayano", "adidas-ultraboost", "nike-zoomx"]
+        assert all(pipe.index.get(r).metadata["price"] >= 100 for r in refs)
+        # a repeat hits under the same filter, however it is spaced
+        assert pipe.handle_query("s1", "u1", DEMO_QUESTION,
+                                 filt=parse_filter(" price >= 100")).cached
+        again = pipe.handle_query("s1", "u1", DEMO_QUESTION,
+                                  filt=parse_filter("price<100"))
+        assert again.cached and again.text == cheap.text
+        assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
+
+    def test_history_flows_into_prompt(self, make_pipeline):
         llm = RecordingLlm()
-        pipe = make_pipeline(tmp_path, llm=llm)
+        pipe = make_pipeline(llm=llm)
         pipe.record_exchange("s1", "do you stock running shoes?",
                              "we stock several models")
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
@@ -172,9 +200,9 @@ class TestHandleQuery:
         assert "assistant: we stock several models" in rendered
         assert llm.prompts[-1].sources.history_count == 2
 
-    def test_third_call_sees_history_count_four(self, tmp_path):
+    def test_third_call_sees_history_count_four(self, make_pipeline):
         llm = RecordingLlm()
-        pipe = make_pipeline(tmp_path, llm=llm)
+        pipe = make_pipeline(llm=llm)
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         pipe.cache.clear()
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
@@ -182,17 +210,17 @@ class TestHandleQuery:
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert llm.prompts[-1].sources.history_count == 4
 
-    def test_history_window_bounds_the_fetch(self, tmp_path):
+    def test_history_window_bounds_the_fetch(self, make_pipeline):
         llm = RecordingLlm()
-        pipe = make_pipeline(tmp_path, llm=llm, history_window=3)
+        pipe = make_pipeline(llm=llm, history_window=3)
         for i in range(5):
             pipe.record_exchange("s1", f"q{i}", f"a{i}")
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert llm.prompts[-1].sources.history_count == 3
 
-    def test_profile_flows_into_prompt(self, tmp_path):
+    def test_profile_flows_into_prompt(self, make_pipeline):
         llm = RecordingLlm()
-        pipe = make_pipeline(tmp_path, llm=llm)
+        pipe = make_pipeline(llm=llm)
         pipe.profiles.put_profile("u1", {"preferred_brand": "Reebok",
                                          "budget": 100})
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
@@ -202,17 +230,17 @@ class TestHandleQuery:
                                                             "preferred_brand")
 
     def test_same_question_two_sessions_same_retrieval_different_prompts(
-            self, tmp_path):
+            self, make_pipeline):
         llm = RecordingLlm()
-        pipe = make_pipeline(tmp_path, llm=llm)
+        pipe = make_pipeline(llm=llm)
         pipe.record_exchange("long", "earlier question", "earlier answer")
         a = pipe.handle_query("long", "u1", DEMO_QUESTION)
         b = pipe.handle_query("fresh", "u2", DEMO_QUESTION)
         assert [h.doc_id for h in a.retrieved] == [h.doc_id for h in b.retrieved]
         assert llm.prompts[0].rendered != llm.prompts[1].rendered
 
-    def test_persists_user_then_assistant_with_meta(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_persists_user_then_assistant_with_meta(self, make_pipeline):
+        pipe = make_pipeline()
         resp = pipe.handle_query("s1", "u1", DEMO_QUESTION, k=2)
         history = pipe.conversations.get_history("s1", 10)
         assert [(m.seq, m.role) for m in history] == [(0, "user"),
@@ -223,15 +251,16 @@ class TestHandleQuery:
         assert history[1].metadata["retrieved_ids"] == \
             "reebok-floatride,asics-gel-kayano"
 
-    def test_references_footer_lists_retrieved_ids(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_references_footer_lists_retrieved_ids(self, make_pipeline):
+        pipe = make_pipeline()
         resp = pipe.handle_query("s1", "u1", DEMO_QUESTION, k=2)
         assert resp.text.endswith(
             "references: reebok-floatride, asics-gel-kayano")
 
-    def test_llm_failure_names_stage_and_leaves_stores_untouched(self, tmp_path):
+    def test_llm_failure_names_stage_and_leaves_stores_untouched(
+            self, make_pipeline):
         llm = MockLlm(fail=True)
-        pipe = make_pipeline(tmp_path, llm=llm)
+        pipe = make_pipeline(llm=llm)
         with pytest.raises(StageError) as exc_info:
             pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert exc_info.value.stage == "llm"
@@ -241,33 +270,49 @@ class TestHandleQuery:
         llm.fail = False
         assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
 
-    def test_embed_failure_names_stage(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_failed_answer_append_persists_neither_message(
+            self, make_pipeline, tmp_path):
+        pipe = make_pipeline()
+        log = pipe.conversations._log
+        log._fh = FailingFile(log._fh, b'"role":"assistant"')
+        with pytest.raises(StageError) as exc_info:
+            pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        assert exc_info.value.stage == "persist"
+        assert pipe.conversations.count("s1") == 0
+        assert len(pipe.cache) == 0
+        with ConversationStore(tmp_path / "conv.jsonl") as reopened:
+            assert reopened.count("s1") == 0
+        # the fault was one-off: the same turn now goes through whole
+        assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
+        assert pipe.conversations.count("s1") == 2
+
+    def test_embed_failure_names_stage(self, make_pipeline):
+        pipe = make_pipeline()
         with pytest.raises(StageError) as exc_info:
             pipe.handle_query("s1", "u1", "unknown text for the fixture")
         assert exc_info.value.stage == "embed"
         assert pipe.conversations.count("s1") == 0
 
     def test_search_failure_names_stage(self, tmp_path):
-        conversations = ConversationStore(tmp_path / "c.jsonl")
-        profiles = ProfileStore(tmp_path / "p.jsonl")
-        pipe = Pipeline(index=FlatIndex(), conversations=conversations,
-                        profiles=profiles, embedder=FixtureEmbedder(),
-                        llm=MockLlm())
-        with pytest.raises(StageError) as exc_info:
-            pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        with ConversationStore(tmp_path / "c.jsonl") as conversations, \
+                ProfileStore(tmp_path / "p.jsonl") as profiles:
+            pipe = Pipeline(index=FlatIndex(), conversations=conversations,
+                            profiles=profiles, embedder=FixtureEmbedder(),
+                            llm=MockLlm())
+            with pytest.raises(StageError) as exc_info:
+                pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert exc_info.value.stage == "search"  # empty index
 
-    def test_cached_hit_skips_llm_entirely(self, tmp_path):
+    def test_cached_hit_skips_llm_entirely(self, make_pipeline):
         llm = RecordingLlm()
-        pipe = make_pipeline(tmp_path, llm=llm)
+        pipe = make_pipeline(llm=llm)
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         assert llm.inner.calls == 1
 
-    def test_custom_cache_and_ttl_injected_clock(self, tmp_path):
+    def test_custom_cache_and_ttl_injected_clock(self, make_pipeline):
         clock = [1000.0]
-        pipe = make_pipeline(tmp_path, cache=ResponseCache(default_ttl_ms=500),
+        pipe = make_pipeline(cache=ResponseCache(default_ttl_ms=500),
                              clock=lambda: clock[0])
         pipe.handle_query("s1", "u1", DEMO_QUESTION)
         clock[0] += 0.4
@@ -277,8 +322,8 @@ class TestHandleQuery:
 
 
 class TestRecordExchange:
-    def test_fresh_session_seqs(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_fresh_session_seqs(self, make_pipeline):
+        pipe = make_pipeline()
         user_msg, assistant_msg = pipe.record_exchange("s", "q?", "a.",
                                                        {"tag": "x"})
         assert (user_msg.seq, assistant_msg.seq) == (0, 1)
@@ -286,14 +331,14 @@ class TestRecordExchange:
         assert dict(user_msg.metadata) == {}
         assert assistant_msg.metadata["tag"] == "x"
 
-    def test_three_exchanges_alternate_roles(self, tmp_path):
-        pipe = make_pipeline(tmp_path)
+    def test_three_exchanges_alternate_roles(self, make_pipeline):
+        pipe = make_pipeline()
         for i in range(3):
             pipe.record_exchange("s", f"q{i}", f"a{i}")
         history = pipe.conversations.get_history("s", 10)
         assert [m.role for m in history] == ["user", "assistant"] * 3
         assert [m.text for m in history] == ["q0", "a0", "q1", "a1", "q2", "a2"]
 
-    def test_validation_of_history_window(self, tmp_path):
+    def test_validation_of_history_window(self, make_pipeline):
         with pytest.raises(ValueError):
-            make_pipeline(tmp_path, history_window=0)
+            make_pipeline(history_window=0)

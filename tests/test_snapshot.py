@@ -220,3 +220,20 @@ class TestMalformedPayload:
         rewrite_payload(path, lambda p: p["docs"].pop())
         with pytest.raises(SnapshotCorruptError, match="header says 17"):
             load_index(path)
+
+
+@pytest.mark.parametrize("where", ["dead", "other"])
+def test_hnsw_document_outside_its_live_slot_is_corrupt(tmp_path, where):
+    path = tmp_path / "d.snap"
+    snapshot_v1.build("hnsw").save(path)
+
+    def edit(payload):
+        if where == "dead":
+            slot = payload["alive"].index(False)
+        else:
+            slot = payload["docs"][1]["slot"]
+        payload["docs"][0]["slot"] = slot
+
+    rewrite_payload(path, edit)
+    with pytest.raises(SnapshotCorruptError, match="not live in slot"):
+        load_index(path)
