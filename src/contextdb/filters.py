@@ -78,7 +78,10 @@ class FilterExpr:
     def matches(self, metadata: Mapping[str, MetaValue]) -> bool:
         """True iff every clause holds. A clause on an absent field is false,
         not an error, so heterogeneous catalogs stay queryable."""
-        return all(_clause_holds(clause, metadata) for clause in self.clauses)
+        for clause in self.clauses:
+            if not _clause_holds(clause, metadata):
+                return False
+        return True
 
 
 def _typed_eq(field: str, stored: MetaValue, literal: MetaValue) -> bool:

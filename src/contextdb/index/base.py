@@ -1,6 +1,7 @@
 """Shared scaffolding for the vector indexes: the slot table that stores the
-documents, dimension checks, deterministic hit assembly, the hybrid
-filtered-search strategy, and the snapshot state of the slot-table kinds.
+documents, dimension checks, the exact scan and the filtered search every
+kind shares, deterministic hit assembly, and the snapshot state of the
+slot-table kinds.
 
 Ordering contract used everywhere: hits sorted by (distance, doc_id)
 ascending, ranks consecutive from 1. Mutations and searches are serialized
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import base64
 import threading
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Mapping, Sequence
@@ -31,21 +32,6 @@ class SearchHit:
     doc_id: str
     distance: float
     rank: int
-
-
-def rows_to_query_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from each matrix row to q (float64)."""
-    diff = matrix - q
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def boundary_cut(dists: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the n smallest distances, plus every tie with the nth:
-    the (distance, doc_id) sort of the hits settles the boundary."""
-    if n >= dists.shape[0]:
-        return np.arange(dists.shape[0])
-    kth = np.partition(dists, n - 1)[n - 1]
-    return np.flatnonzero(dists <= kth)
 
 
 _F8 = np.dtype("<f8")
@@ -184,29 +170,16 @@ class VectorIndex(ABC):
 
     def search_filtered(self, query: Vector, k: int, filt: FilterExpr,
                         **overrides) -> list[SearchHit]:
-        """k nearest documents among those satisfying the filter."""
+        """The k nearest documents among those satisfying the filter: the
+        filter picks the live slots of the kind's pool, and an exact scan
+        ranks them. overrides are those of search()."""
         with self._lock:
             self._check_search_ready(query, k)
-            pairs = self._filtered(query.values, k, filt, **overrides)
-            return self._to_hits(pairs, k)
-
-    def _filtered(self, q: np.ndarray, k: int, filt: FilterExpr,
-                  **overrides) -> list[tuple[float, str]]:
-        """Approximate kinds oversample max(4k, k+32) candidates, post-filter,
-        and retry with doubled oversampling up to 3 times before settling for
-        a short list; the flat index overrides this with an exact scan."""
-        total = len(self)
-        metas, slot_of = self._table.metas, self._table.slot_of
-        fetch = max(4 * k, k + 32)
-        kept: list[tuple[float, str]] = []
-        for _ in range(4):  # initial attempt + 3 doubled retries
-            fetch = min(fetch, total)
-            pairs = self._nearest(q, fetch, **overrides)
-            kept = [p for p in pairs if filt.matches(metas[slot_of[p[1]]])]
-            if len(kept) >= k or len(pairs) >= total:
-                break
-            fetch *= 2
-        return kept
+            q, metas = query.values, self._table.metas
+            pool = np.arange(self._table.count)[self._pool(q, **overrides)]
+            keep = [s for s in pool.tolist()
+                    if (meta := metas[s]) is not None and filt.matches(meta)]
+            return self._to_hits(self._scan(q, k, keep), k)
 
     # -- persistence --------------------------------------------------------
 
@@ -253,9 +226,32 @@ class VectorIndex(ABC):
         """Free doc_id's slot; the caller drops or re-points the id."""
         self._table.swap_remove(doc_id)
 
-    @abstractmethod
+    def _pool(self, q: np.ndarray) -> slice | np.ndarray:
+        """The slots a search of q may return, as an index into the rows:
+        here every slot, dead ones (metadata None) included. A kind with
+        per-query knobs takes them here as keywords; any other keyword
+        raises TypeError."""
+        return slice(None)
+
     def _nearest(self, q: np.ndarray, n: int, **overrides) -> list[tuple[float, str]]:
         """Up to n (distance, doc_id) candidates for live documents."""
+        return self._scan(q, n, self._pool(q, **overrides))
+
+    def _scan(self, q: np.ndarray, n: int,
+              slots: slice | np.ndarray | list[int]) -> list[tuple[float, str]]:
+        """The exact (distance, doc_id) of the n given slots nearest to q,
+        plus every tie with the nth: the (distance, doc_id) sort of the hits
+        settles the boundary. slots is any numpy index into the rows."""
+        t = self._table
+        diff = t.rows[slots] - q
+        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if n < dists.shape[0]:
+            cut = np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
+        else:
+            cut = np.arange(dists.shape[0])
+        picked = np.arange(t.count)[slots][cut]
+        return list(zip(dists[cut].tolist(),
+                        [t.ids[s] for s in picked.tolist()]))
 
     def _check_insert_dim(self, got: int) -> None:
         if self._dim is None:

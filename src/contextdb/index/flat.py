@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..filters import FilterExpr
-from .base import VectorIndex, boundary_cut, rows_to_query_distances
+from .base import VectorIndex
 
 
 class FlatIndex(VectorIndex):
-    """Exact k-NN over the slot table's rows.
+    """Exact k-NN over the slot table's rows: the base class's scan of every
+    slot, filtered or not.
 
     Removal is swap-with-last compaction, so the matrix always holds exactly
     the live vectors and a scan touches nothing stale. It has no per-query
@@ -17,18 +15,3 @@ class FlatIndex(VectorIndex):
     """
 
     kind = "flat"
-
-    def _nearest(self, q: np.ndarray, n: int) -> list[tuple[float, str]]:
-        dists = rows_to_query_distances(self._table.rows, q)
-        ids = self._table.ids
-        return [(float(dists[i]), ids[i]) for i in boundary_cut(dists, n)]
-
-    def _filtered(self, q: np.ndarray, k: int,
-                  filt: FilterExpr) -> list[tuple[float, str]]:
-        """Exact: restrict the scan to matching rows, then take the k nearest."""
-        t = self._table
-        keep = [i for i, meta in enumerate(t.metas) if filt.matches(meta)]
-        if not keep:
-            return []
-        dists = rows_to_query_distances(t.rows[keep], q)
-        return [(float(dists[j]), t.ids[i]) for j, i in enumerate(keep)]

@@ -58,7 +58,8 @@ class HnswParams:
             raise ValueError(f"ef_search must be >= 1, got {self.ef_search}")
 
 
-def _scan(cols: bytes, at: int, width: int, n: int, m: int) -> list[int]:
+def _diversity_scan(cols: bytes, at: int, width: int, n: int,
+                    m: int) -> list[int]:
     """One row of the diversity scan: the first candidates, in order, that
     no earlier kept one blocks, until m are kept. Candidate k's column of
     the block test sits at cols[at + k * width:], packed little-endian (bit
@@ -216,7 +217,7 @@ class HnswIndex(VectorIndex):
             np.logical_not(blocks, out=blocks)
             width = (end + 7) // 8
             cols = np.packbits(blocks, axis=2, bitorder="little").tobytes()
-            sels = [_scan(cols, r * end * width, width, end, m)
+            sels = [_diversity_scan(cols, r * end * width, width, end, m)
                     for r in range(d.shape[0])]
             if end == n or all(len(sel) == m for sel in sels):
                 break
@@ -281,12 +282,21 @@ class HnswIndex(VectorIndex):
         slot = self._table.slot_of[doc_id]  # row and links stay: they route
         self._table.texts[slot] = self._table.metas[slot] = None
 
-    def _nearest(self, q: np.ndarray, n: int, *,
-                 ef_search: int | None = None) -> list[tuple[float, str]]:
+    def _ef(self, ef_search: int | None) -> int:
         ef = self.params.ef_search if ef_search is None else int(ef_search)
         if ef < 1:
             raise ValueError(f"ef_search must be >= 1, got {ef}")
-        ef = max(ef, n)
+        return ef
+
+    def _pool(self, q: np.ndarray, *, ef_search: int | None = None) -> slice:
+        """Every slot: a filtered search ranks all matches exactly, so
+        ef_search is checked but does not change its result."""
+        self._ef(ef_search)
+        return super()._pool(q)
+
+    def _nearest(self, q: np.ndarray, n: int, *,
+                 ef_search: int | None = None) -> list[tuple[float, str]]:
+        ef = max(self._ef(ef_search), n)
         dist = self._distances_to(q)
         cur = self._entry
         assert cur is not None

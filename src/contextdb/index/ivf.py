@@ -3,10 +3,10 @@
 train() fits centroids on a sample; every inserted vector lands in the list
 of its nearest centroid. Lists hold slots of the slot table, so a removal,
 which moves the last row into the freed slot, renames one list member in
-O(1). A search scores the query against all centroids, scans the nprobe
-nearest lists exhaustively with the same exact-distance kernel the flat
-index uses, and merges. With nprobe == nlist every list is scanned, so
-results coincide with the flat index bit for bit.
+O(1). A search scores the query against all centroids and scans the slots
+of the nprobe nearest lists with the flat index's exact scan; a filtered
+search scans those of them that match. With nprobe == nlist every list is
+scanned, so results coincide with the flat index bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from ..core import Document, Vector
 from ..errors import NotTrainedError, TrainingDataError
-from .base import (VectorIndex, boundary_cut, pack_array, rows_to_query_distances,
-                   unpack_array)
+from .base import VectorIndex, pack_array, unpack_array
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,9 @@ class IvfIndex(VectorIndex):
             self._lists[moved].add(slot)
             self._list_of[slot] = moved
 
-    def _nearest(self, q: np.ndarray, n: int, *,
-                 nprobe: int | None = None) -> list[tuple[float, str]]:
+    def _pool(self, q: np.ndarray, *,
+              nprobe: int | None = None) -> np.ndarray:
+        """The slots of the nprobe lists whose centroids are nearest to q."""
         if nprobe is None:
             nprobe = self.params.nprobe if self.params.nprobe is not None \
                 else min(8, self._nlist)
@@ -184,12 +184,5 @@ class IvfIndex(VectorIndex):
         cd = np.einsum("ij,ij->i", diff, diff)
         probe = [self._lists[c]
                  for c in np.argsort(cd, kind="stable")[:nprobe]]
-        slots = np.fromiter(chain.from_iterable(probe), dtype=np.int64,
-                            count=sum(map(len, probe)))
-        if not slots.size:
-            return []
-        dists = rows_to_query_distances(self._table.rows[slots], q)
-        cut = boundary_cut(dists, n)
-        ids = self._table.ids
-        return list(zip(dists[cut].tolist(),
-                        [ids[s] for s in slots[cut].tolist()]))
+        return np.fromiter(chain.from_iterable(probe), dtype=np.int64,
+                           count=sum(map(len, probe)))

@@ -1,9 +1,10 @@
 """Churn on the two indexes whose slot table compacts by swap-remove.
 
 Random inserts, replacements and removes run against the brute-force
-oracle, with the slot table's and the ivf lists' invariants checked as they
-go, and then through a save/load round trip. ivf probes every list
-(nprobe == nlist), so it must agree with the oracle exactly.
+oracle, searched with and without a filter, with the slot table's and the
+ivf lists' invariants checked as they go, and then through a save/load
+round trip. ivf probes every list (nprobe == nlist), so it must agree with
+the oracle exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from contextdb import (Document, FlatIndex, IvfIndex, IvfParams, Vector,
-                       load_index)
+                       load_index, parse_filter)
 from conftest import brute_force_knn, unit_rows
 
 DIM = 6
@@ -38,12 +39,21 @@ def check_slots(index, live: dict[str, np.ndarray],
                 assert int(d2[slot].argmin()) == c
 
 
-def check_oracle(index, live: dict[str, np.ndarray], queries) -> None:
-    ids = sorted(live)
-    data = np.stack([live[i] for i in ids])
-    for q in queries:
-        want = brute_force_knn(data, ids, q, 5)
-        got = [(h.doc_id, h.distance) for h in index.search(Vector(q), 5)]
+def check_oracle(index, live: dict[str, np.ndarray],
+                 attrs: dict[str, tuple[str, dict]], queries) -> None:
+    """Every query unfiltered, and the first one under a filter that keeps
+    about half of the live documents, against filter-then-brute-force."""
+    steps = sorted(attrs[i][1]["step"] for i in live)
+    cut = steps[len(steps) // 2]
+    kept = sorted(i for i in live if attrs[i][1]["step"] < cut)
+    searches = [(q, sorted(live), index.search(Vector(q), 5))
+                for q in queries]
+    searches.append((queries[0], kept, index.search_filtered(
+        Vector(queries[0]), 5, parse_filter(f"step<{cut}"))))
+    for q, ids, hits in searches:
+        want = brute_force_knn(np.stack([live[i] for i in ids]), ids, q, 5) \
+            if ids else []
+        got = [(h.doc_id, h.distance) for h in hits]
         assert [g[0] for g in got] == [w[0] for w in want]
         np.testing.assert_allclose([g[1] for g in got],
                                    [w[1] for w in want], atol=1e-9)
@@ -86,7 +96,7 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
                                   embedding=Vector(live[doc_id])))
         check_slots(index, live, attrs)
         if step % 50 == 49 and live:
-            check_oracle(index, live, queries)
+            check_oracle(index, live, attrs, queries)
     assert removed_last and replaced
     assert kind == "flat" or removed_across_lists
 
@@ -94,6 +104,6 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
     index.save(path)
     restored = load_index(path)
     check_slots(restored, live, attrs)
-    check_oracle(restored, live, queries)
+    check_oracle(restored, live, attrs, queries)
     for q in queries:
         assert restored.search(Vector(q), 7) == index.search(Vector(q), 7)

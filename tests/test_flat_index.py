@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from contextdb import (DimensionMismatchError, Document, EmptyIndexError,
-                       FlatIndex, HnswIndex, IvfIndex, IvfParams, Vector,
-                       parse_filter)
+                       FilterTypeMismatchError, FlatIndex, HnswIndex, IvfIndex,
+                       IvfParams, Vector, parse_filter)
 from conftest import brute_force_knn, make_docs, unit_rows
 
 
@@ -186,3 +186,23 @@ class TestSearchFiltered:
         index = small_index()
         with pytest.raises(TypeError):
             index.search(Vector([0.0, 0.0]), 1, ef_search=10)
+        with pytest.raises(TypeError):
+            index.search_filtered(Vector([0.0, 0.0]), 1, parse_filter("i>=0"),
+                                  ef_search=10)
+
+    @pytest.mark.parametrize("kind", ["flat", "hnsw", "ivf"])
+    def test_type_mismatch_far_from_the_query_raises(self, rng, kind):
+        # every pooled document is checked against the filter, not only
+        # those near the query
+        data = unit_rows(rng, 300, 8)
+        if kind == "ivf":
+            index = IvfIndex(IvfParams(nlist=6, nprobe=6))
+            index.train(data)
+        else:
+            index = FlatIndex() if kind == "flat" else HnswIndex()
+        for doc in make_docs(data, metadata_fn=lambda i: {"price": i % 100}):
+            index.insert(doc)
+        index.insert(Document(id="odd", text="", metadata={"price": "cheap"},
+                              embedding=Vector(-5.0 * data[0])))
+        with pytest.raises(FilterTypeMismatchError):
+            index.search_filtered(Vector(data[0]), 5, parse_filter("price<50"))

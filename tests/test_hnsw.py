@@ -193,6 +193,48 @@ class TestFiltered:
             total += len(want)
         assert agree / total >= 0.97
 
+    def test_low_selectivity_is_exact_after_removes_and_replace(self, rng):
+        # 10 of 2000 documents match (0.5 %): far fewer than k sit among the
+        # few hundred nearest, so only a scan of every match fills the list
+        data = unit_rows(rng, 2000, 8)
+        hnsw = HnswIndex(HnswParams(m=8, ef_construction=40))
+        flat = FlatIndex()
+        for doc in make_docs(data, metadata_fn=lambda i: {"rare": i % 200 == 0}):
+            hnsw.insert(doc)
+            flat.insert(doc)
+        removed = ["d00000", "d00007", "d01400"]
+        for doc_id in removed:
+            assert hnsw.remove(doc_id) and flat.remove(doc_id)
+        for doc in (Document(id="d00200", text="", metadata={"rare": True},
+                             embedding=Vector(-data[200])),
+                    Document(id="d00001", text="", metadata={"rare": True},
+                             embedding=Vector(data[1]))):
+            hnsw.insert(doc)
+            flat.insert(doc)
+        matches = 9  # 10 - d00000 - d01400 + d00001
+        expr = parse_filter("rare=true")
+        for q in unit_rows(rng, 10, 8):
+            for k in (5, 12):
+                want = [(h.doc_id, h.distance)
+                        for h in flat.search_filtered(Vector(q), k, expr)]
+                got = [(h.doc_id, h.distance)
+                       for h in hnsw.search_filtered(Vector(q), k, expr)]
+                assert len(got) == min(k, matches)
+                assert got == want
+                assert not {doc_id for doc_id, _ in got} & set(removed)
+                # the beam width of an unfiltered search plays no part
+                assert hnsw.search_filtered(Vector(q), k, expr,
+                                            ef_search=1) == \
+                    hnsw.search_filtered(Vector(q), k, expr)
+
+    def test_bad_ef_search_raises_on_both_paths(self, rng):
+        index = build(unit_rows(rng, 20, 4))
+        q = Vector(unit_rows(rng, 1, 4)[0])
+        with pytest.raises(ValueError):
+            index.search(q, 3, ef_search=0)
+        with pytest.raises(ValueError):
+            index.search_filtered(q, 3, parse_filter("x=1"), ef_search=0)
+
 
 def reference_select(index: HnswIndex, pairs: list[tuple[float, int]], m: int,
                      keep_pruned: bool) -> tuple[list[int], int]:

@@ -164,6 +164,33 @@ class TestSearch:
             want = [h.doc_id for h in flat.search_filtered(Vector(q), 5, expr)]
             assert got == want
 
+    def test_full_probe_low_selectivity_equals_flat(self, rng):
+        # 10 of 2000 documents match (0.5 %): every probed match is scanned
+        data = unit_rows(rng, 2000, 8)
+        ivf, flat = IvfIndex(IvfParams(nlist=20)), FlatIndex()
+        ivf.train(data)
+        for doc in make_docs(data, metadata_fn=lambda i: {"rare": i % 200 == 0}):
+            ivf.insert(doc)
+            flat.insert(doc)
+        expr = parse_filter("rare=true")
+        for q in unit_rows(rng, 10, 8):
+            for k in (5, 12):
+                want = [(h.doc_id, h.distance)
+                        for h in flat.search_filtered(Vector(q), k, expr)]
+                got = [(h.doc_id, h.distance)
+                       for h in ivf.search_filtered(Vector(q), k, expr,
+                                                    nprobe=20)]
+                assert len(got) == min(k, 10)
+                assert got == want
+
+    def test_bad_nprobe_raises_on_both_paths(self, rng):
+        ivf, _, _ = trained_pair(rng, n=50, dim=4, nlist=5)
+        q = Vector(unit_rows(rng, 1, 4)[0])
+        with pytest.raises(ValueError):
+            ivf.search(q, 3, nprobe=0)
+        with pytest.raises(ValueError):
+            ivf.search_filtered(q, 3, parse_filter("x=1"), nprobe=0)
+
     def test_oracle_agreement_full_probe(self, rng):
         ivf, _, data = trained_pair(rng, n=350, dim=10, nlist=15)
         ids = [f"d{i:05d}" for i in range(len(data))]
