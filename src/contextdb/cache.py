@@ -15,6 +15,7 @@ answer is never served for a filter it was not retrieved under.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -57,6 +58,9 @@ class ResponseCache:
         self.capacity = capacity
         self.default_ttl_ms = default_ttl_ms
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        # no entry expires before this, so an eviction at an earlier now
+        # need not look for an expired one
+        self._expiry_floor = math.inf
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -94,17 +98,22 @@ class ResponseCache:
                 entry.inserted_at = now
                 entry.ttl = ttl
                 self._entries.move_to_end(key)
-                return
-            if len(self._entries) >= self.capacity:
-                self._evict_one(now)
-            self._entries[key] = CacheEntry(value=value, inserted_at=now,
-                                            ttl=ttl)
+            else:
+                if len(self._entries) >= self.capacity:
+                    self._evict_one(now)
+                self._entries[key] = CacheEntry(value=value, inserted_at=now,
+                                                ttl=ttl)
+            self._expiry_floor = min(self._expiry_floor, now + ttl)
 
     def _evict_one(self, now: int) -> None:
-        for key, entry in self._entries.items():  # LRU order
-            if entry.expired(now):
-                del self._entries[key]
-                return
+        if now >= self._expiry_floor:
+            for key, entry in self._entries.items():  # LRU order
+                if entry.expired(now):
+                    del self._entries[key]
+                    return
+            # nothing expired: tighten the floor to the exact earliest expiry
+            self._expiry_floor = min(e.inserted_at + e.ttl
+                                     for e in self._entries.values())
         self._entries.popitem(last=False)
 
     def purge_expired(self, now: int) -> int:
@@ -118,3 +127,4 @@ class ResponseCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._expiry_floor = math.inf

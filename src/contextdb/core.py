@@ -129,6 +129,23 @@ class Document:
             raise TypeError("document embedding must be a Vector")
         object.__setattr__(self, "metadata", MappingProxyType(_validate_metadata(self.metadata)))
 
+    @classmethod
+    def _trusted(cls, doc_id: str, text: str,
+                 metadata: Mapping[str, MetaValue],
+                 row: np.ndarray) -> "Document":
+        """A Document of parts that were validated when they were stored:
+        metadata is already read-only, and the row is copied and made
+        read-only. Nothing is checked again."""
+        values = row.copy()
+        values.flags.writeable = False
+        embedding = Vector.__new__(Vector)
+        embedding._values = values
+        doc = cls.__new__(cls)
+        for name, value in (("id", doc_id), ("text", text),
+                            ("metadata", metadata), ("embedding", embedding)):
+            object.__setattr__(doc, name, value)
+        return doc
+
 
 class EmbeddingProvider(ABC):
     """Deterministic text -> Vector mapping with a fixed output dimension.

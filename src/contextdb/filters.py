@@ -1,5 +1,6 @@
-"""Conjunctive metadata filters: expression model, evaluation, and the
-string grammar used by the CLI and config files.
+"""Conjunctive metadata filters: expression model, evaluation (per document,
+or as one mask over an index's metadata columns), and the string grammar
+used by the CLI and config files.
 
 Grammar: clauses joined by ``&&``; each clause is ``field OP literal`` with
 OP one of ``= != < <= > >= in``. Strings are double-quoted, booleans are
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import Document, MetaValue, meta_kind
 from .errors import FilterParseError, FilterTypeMismatchError
@@ -83,6 +86,37 @@ class FilterExpr:
                 return False
         return True
 
+    def mask(self, columns: "MetaColumns",
+             pool: slice | np.ndarray) -> np.ndarray | None:
+        """matches() of every slot that pool (an index into the slots)
+        picks, as one boolean array in pool order; a dead slot is false.
+        None when matches() would raise on one of them, on a kind mismatch
+        or a number float() cannot hold: the caller then runs matches()
+        to raise that very error."""
+        n = columns.count
+        out = columns.live[:n][pool].copy()  # held by every clause so far
+        for clause in self.clauses:
+            col = columns.fields.get(clause.field)
+            if col is None:                     # no slot has the field
+                return np.zeros_like(out)
+            kind = col.kind[:n][pool]
+            pending = out & (kind != _MISSING)  # not yet matched by an item
+            held = np.zeros_like(out)
+            items = clause.value if clause.op is Op.IN else (clause.value,)
+            for item in items:                  # matches() stops at a hit
+                code = _kind_code(item)
+                if (pending & (kind != (-1 if code == _HUGE else code))).any():
+                    return None
+                if code == _NUMBER:
+                    hit = _COMPARE[clause.op](col.num[:n][pool], float(item))
+                else:
+                    hit = col.code[:n][pool] == columns.code_of(item)
+                hit &= pending
+                held |= hit
+                pending &= ~hit
+            out &= pending if clause.op is Op.NE else held
+        return out
+
 
 def _typed_eq(field: str, stored: MetaValue, literal: MetaValue) -> bool:
     stored_kind = meta_kind(stored)
@@ -121,6 +155,111 @@ def _clause_holds(clause: Clause, metadata) -> bool:
 def evaluate_filter(expr: FilterExpr, doc: Document) -> bool:
     """expr.matches(doc.metadata)."""
     return expr.matches(doc.metadata)
+
+
+# --- metadata columns -------------------------------------------------------
+
+# The kind code of a stored value. _HUGE is a number float() cannot hold; a
+# literal float() cannot hold gets -1. Either code differs from every other,
+# so a clause that reaches it reads as a mismatch and falls back to matches().
+_MISSING, _BOOLEAN, _NUMBER, _STRING, _HUGE = range(5)
+
+_COMPARE = {Op.EQ: np.equal, Op.NE: np.equal, Op.IN: np.equal,
+            Op.LT: np.less, Op.LE: np.less_equal,
+            Op.GT: np.greater, Op.GE: np.greater_equal}
+
+
+def _kind_code(value: MetaValue) -> int:
+    if isinstance(value, bool):
+        return _BOOLEAN
+    if isinstance(value, str):
+        return _STRING
+    try:
+        float(value)
+    except OverflowError:
+        return _HUGE
+    return _NUMBER
+
+
+class _Column:
+    """One metadata field over the slots: a kind code per slot, the float
+    value of a number, and the interned code of a string or boolean."""
+
+    __slots__ = ("kind", "num", "code")
+
+    def __init__(self, size: int):
+        self.kind = np.zeros(size, dtype=np.int8)
+        self.num = np.zeros(size)
+        self.code = np.zeros(size, dtype=np.int32)
+
+    def grow(self, size: int) -> None:
+        for name in self.__slots__:
+            old = getattr(self, name)
+            new = np.zeros(size, dtype=old.dtype)
+            new[:old.shape[0]] = old
+            setattr(self, name, new)
+
+
+class MetaColumns:
+    """The metadata of a slot table's first count slots as one _Column per
+    field, for FilterExpr.mask. A boolean codes as 0 or 1 and a string as
+    its index among the strings seen so far; the kind code keeps codes of
+    different kinds apart."""
+
+    def __init__(self):
+        self.count = 0
+        self.live = np.zeros(0, dtype=bool)
+        self.fields: dict[str, _Column] = {}
+        self.strings: dict[str, int] = {}   # string -> its code
+
+    def code_of(self, literal: bool | str) -> int:
+        """A literal's code; -1 for a string that no slot has held."""
+        if isinstance(literal, bool):
+            return int(literal)
+        return self.strings.get(literal, -1)
+
+    def encode(self, slots: list[int],
+               metas: Sequence[Mapping[str, MetaValue] | None]) -> None:
+        """(Re-)encode the given slots from their metadata, None for a dead
+        slot. The columns grow to cover them."""
+        if not slots:
+            return
+        size = self.live.shape[0]
+        if max(slots) >= size:
+            size = max(2 * size, max(slots) + 1, 64)
+            live = np.zeros(size, dtype=bool)
+            live[:self.live.shape[0]] = self.live
+            self.live = live
+            for col in self.fields.values():
+                col.grow(size)
+        idx = np.array(slots)
+        for col in self.fields.values():
+            col.kind[idx] = _MISSING
+        strings = self.strings
+        entries: dict[str, list[tuple[int, int, float, int]]] = {}
+        live_slots = []
+        for slot in slots:
+            meta = metas[slot]
+            if meta is None:
+                continue
+            live_slots.append(slot)
+            for field, value in meta.items():
+                kind, num, code = _kind_code(value), 0.0, 0
+                if kind == _NUMBER:
+                    num = float(value)
+                elif kind == _STRING:
+                    code = strings.setdefault(value, len(strings))
+                elif kind == _BOOLEAN:
+                    code = int(value)
+                entries.setdefault(field, []).append((slot, kind, num, code))
+        self.live[idx] = False
+        self.live[live_slots] = True
+        for field, rows in entries.items():
+            col = self.fields.get(field)
+            if col is None:
+                col = self.fields[field] = _Column(size)
+            at, kind, num, code = (list(c) for c in zip(*rows))
+            col.kind[at], col.num[at], col.code[at] = kind, num, code
 
 
 # --- string grammar ---------------------------------------------------------

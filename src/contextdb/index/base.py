@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core import Document, MetaValue, Vector
 from ..errors import DimensionMismatchError, EmptyIndexError
-from ..filters import FilterExpr
+from ..filters import FilterExpr, MetaColumns
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,12 @@ class SlotTable:
     into the freed one, so the slots are always exactly the live documents
     and a scan touches nothing stale. An index that tombstones instead (hnsw)
     only appends; a dead slot keeps its row and stale id, not its text and
-    metadata (None)."""
+    metadata (None), which set_doc() writes.
+
+    The metadata is also kept as columns for filtered search. They are
+    encoded lazily: columns() encodes the slots appended, moved into or
+    rewritten since its last call, and only those (encodings counts every
+    slot it has encoded)."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
@@ -68,6 +73,10 @@ class SlotTable:
         self.texts: list[str | None] = []
         self.metas: list[Mapping[str, MetaValue] | None] = []
         self.slot_of: dict[str, int] = {}
+        self._columns = MetaColumns()
+        self._encoded = 0              # slots below it are encoded ...
+        self._stale: set[int] = set()  # ... but for these
+        self.encodings = 0
 
     @property
     def rows(self) -> np.ndarray:
@@ -99,10 +108,37 @@ class SlotTable:
             for column in (self.ids, self.texts, self.metas):
                 column[slot] = column[last]
             self.slot_of[self.ids[slot]] = slot
+            if slot < self._encoded:
+                self._stale.add(slot)
         for column in (self.ids, self.texts, self.metas):
             column.pop()
         self.count = last
+        self._encoded = min(self._encoded, last)
         return slot, last
+
+    def set_doc(self, slot: int, text: str | None,
+                meta: Mapping[str, MetaValue] | None) -> None:
+        """Rewrite a slot's text and metadata in place (None: dead)."""
+        self.texts[slot] = text
+        self.metas[slot] = meta
+        if slot < self._encoded:
+            self._stale.add(slot)
+
+    def columns(self) -> MetaColumns:
+        """The metadata columns of the slots, brought up to date. They are
+        encoded afresh once most of their interned strings can only be those
+        of documents since removed or rewritten, so churn does not grow
+        them without bound."""
+        cols = self._columns
+        if len(cols.strings) > 2 * self.count * len(cols.fields) + 64:
+            self._columns, self._encoded = MetaColumns(), 0
+        todo = [s for s in self._stale if s < self._encoded]
+        todo += range(self._encoded, self.count)
+        self._columns.encode(todo, self.metas)
+        self.encodings += len(todo)
+        self._stale.clear()
+        self._encoded = self._columns.count = self.count
+        return self._columns
 
 
 class VectorIndex(ABC):
@@ -132,9 +168,8 @@ class VectorIndex(ABC):
         of the row, which a swap-remove may overwrite in place."""
         with self._lock:
             t, slot = self._table, self._table.slot_of.get(doc_id)
-            return None if slot is None else Document(
-                id=doc_id, text=t.texts[slot], metadata=t.metas[slot],
-                embedding=Vector(t.rows[slot]))
+            return None if slot is None else Document._trusted(
+                doc_id, t.texts[slot], t.metas[slot], t.rows[slot])
 
     # -- mutation ---------------------------------------------------------
 
@@ -171,14 +206,20 @@ class VectorIndex(ABC):
     def search_filtered(self, query: Vector, k: int, filt: FilterExpr,
                         **overrides) -> list[SearchHit]:
         """The k nearest documents among those satisfying the filter: the
-        filter picks the live slots of the kind's pool, and an exact scan
-        ranks them. overrides are those of search()."""
+        filter, compiled to one mask over the metadata columns, picks the
+        live slots of the kind's pool, and an exact scan ranks them.
+        overrides are those of search()."""
         with self._lock:
             self._check_search_ready(query, k)
-            q, metas = query.values, self._table.metas
-            pool = np.arange(self._table.count)[self._pool(q, **overrides)]
-            keep = [s for s in pool.tolist()
-                    if (meta := metas[s]) is not None and filt.matches(meta)]
+            q, t = query.values, self._table
+            pool = self._pool(q, **overrides)
+            slots = np.arange(t.count)[pool]
+            mask = filt.mask(t.columns(), pool)
+            if mask is None:  # matches() raises on a pooled slot: let it
+                keep = [s for s in slots.tolist() if (meta := t.metas[s])
+                        is not None and filt.matches(meta)]
+            else:
+                keep = slots[mask]
             return self._to_hits(self._scan(q, k, keep), k)
 
     # -- persistence --------------------------------------------------------

@@ -254,8 +254,7 @@ class HnswIndex(VectorIndex):
         # distances to every slot but the one added below
         dist = None if self._entry is None else self._distances_to(values)
         slot = self._append_slot(doc.id, values, level)
-        self._table.texts[slot] = doc.text
-        self._table.metas[slot] = doc.metadata
+        self._table.set_doc(slot, doc.text, doc.metadata)
         if dist is None:
             self._entry, self._max_level = slot, level
             return
@@ -280,7 +279,7 @@ class HnswIndex(VectorIndex):
 
     def _remove_vector(self, doc_id: str) -> None:
         slot = self._table.slot_of[doc_id]  # row and links stay: they route
-        self._table.texts[slot] = self._table.metas[slot] = None
+        self._table.set_doc(slot, None, None)
 
     def _ef(self, ef_search: int | None) -> int:
         ef = self.params.ef_search if ef_search is None else int(ef_search)
@@ -356,7 +355,6 @@ class HnswIndex(VectorIndex):
             if not live[slot] or table.ids[slot] != entry["id"]:
                 raise ValueError(f"{entry['id']!r} is not live in slot {slot}")
             table.slot_of[entry["id"]] = slot
-            table.texts[slot] = entry["text"]
-            table.metas[slot] = MappingProxyType(
-                _validate_metadata(entry["meta"]))
+            table.set_doc(slot, entry["text"],
+                          MappingProxyType(_validate_metadata(entry["meta"])))
         return index

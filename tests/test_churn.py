@@ -3,8 +3,10 @@
 Random inserts, replacements and removes run against the brute-force
 oracle, searched with and without a filter, with the slot table's and the
 ivf lists' invariants checked as they go, and then through a save/load
-round trip. ivf probes every list (nprobe == nlist), so it must agree with
-the oracle exactly.
+round trip. The filtered check runs after every remove and replace, since
+each one moves a slot's metadata in the columns that filters read. ivf
+probes every list (nprobe == nlist), so it must agree with the oracle
+exactly.
 """
 
 from __future__ import annotations
@@ -42,14 +44,18 @@ def check_slots(index, live: dict[str, np.ndarray],
 def check_oracle(index, live: dict[str, np.ndarray],
                  attrs: dict[str, tuple[str, dict]], queries) -> None:
     """Every query unfiltered, and the first one under a filter that keeps
-    about half of the live documents, against filter-then-brute-force."""
+    about half of the live documents and under one on two fields, against
+    filter-then-brute-force."""
     steps = sorted(attrs[i][1]["step"] for i in live)
     cut = steps[len(steps) // 2]
-    kept = sorted(i for i in live if attrs[i][1]["step"] < cut)
     searches = [(q, sorted(live), index.search(Vector(q), 5))
                 for q in queries]
-    searches.append((queries[0], kept, index.search_filtered(
-        Vector(queries[0]), 5, parse_filter(f"step<{cut}"))))
+    for text, holds in ((f"step<{cut}", lambda m: m["step"] < cut),
+                        (f"odd=true && step>={cut}",
+                         lambda m: m["odd"] and m["step"] >= cut)):
+        kept = sorted(i for i in live if holds(attrs[i][1]))
+        searches.append((queries[0], kept, index.search_filtered(
+            Vector(queries[0]), 5, parse_filter(text))))
     for q, ids, hits in searches:
         want = brute_force_knn(np.stack([live[i] for i in ids]), ids, q, 5) \
             if ids else []
@@ -83,20 +89,25 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
                 removed_across_lists += 1
             assert index.remove(doc_id)
             del live[doc_id], attrs[doc_id]
+            swapped = True
         else:
-            if live and op < 0.55:
+            swapped = live and op < 0.55   # a replace
+            if swapped:
                 doc_id = sorted(live)[rng.integers(len(live))]
                 replaced += 1
             else:
                 doc_id = f"c{step:04d}"
             live[doc_id] = unit_rows(rng, 1, DIM)[0]
-            attrs[doc_id] = (f"{doc_id} at {step}", {"step": step})
+            attrs[doc_id] = (f"{doc_id} at {step}",
+                             {"step": step, "odd": step % 2 == 1})
             index.insert(Document(id=doc_id, text=attrs[doc_id][0],
                                   metadata=attrs[doc_id][1],
                                   embedding=Vector(live[doc_id])))
         check_slots(index, live, attrs)
         if step % 50 == 49 and live:
             check_oracle(index, live, attrs, queries)
+        elif swapped and live:
+            check_oracle(index, live, attrs, queries[:1])
     assert removed_last and replaced
     assert kind == "flat" or removed_across_lists
 
