@@ -35,6 +35,7 @@ class SearchHit:
 
 
 _F8 = np.dtype("<f8")
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
 def pack_array(arr: np.ndarray) -> dict:
@@ -64,10 +65,12 @@ class SlotTable:
     The metadata is also kept as columns for filtered search. They are
     encoded lazily: columns() encodes the slots appended, moved into or
     rewritten since its last call, and only those (encodings counts every
-    slot it has encoded)."""
+    slot it has encoded). So are the rows' squared norms, below _normed."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
+        self._norms = np.zeros(0)
+        self._normed = 0
         self.count = 0
         self.ids: list[str] = []
         self.texts: list[str | None] = []
@@ -82,6 +85,16 @@ class SlotTable:
     def rows(self) -> np.ndarray:
         return self._data[: self.count]
 
+    @property
+    def norms(self) -> np.ndarray:
+        """Each row's squared norm, bit for bit row @ row (a batched einsum
+        is not), computed now for the slots appended since the last read."""
+        new = self._data[self._normed:self.count]
+        self._norms[self._normed:self.count] = np.matmul(
+            new[:, None], new[:, :, None])[:, 0, 0]
+        self._normed = self.count
+        return self._norms[:self.count]
+
     def append(self, doc_id: str, values: np.ndarray, text: str | None = None,
                meta: Mapping[str, MetaValue] | None = None) -> int:
         slot = self.count
@@ -90,6 +103,7 @@ class SlotTable:
             if slot:
                 grown[:slot] = self._data
             self._data = grown
+            self._norms = np.resize(self._norms, grown.shape[0])
         self._data[slot] = values
         self.count = slot + 1
         self.ids.append(doc_id)
@@ -105,6 +119,8 @@ class SlotTable:
         last = self.count - 1
         if slot != last:
             self._data[slot] = self._data[last]
+            if slot < self._normed:  # the moved row may have had none
+                self._norms[slot] = self._data[slot] @ self._data[slot]
             for column in (self.ids, self.texts, self.metas):
                 column[slot] = column[last]
             self.slot_of[self.ids[slot]] = slot
@@ -114,6 +130,7 @@ class SlotTable:
             column.pop()
         self.count = last
         self._encoded = min(self._encoded, last)
+        self._normed = min(self._normed, last)
         return slot, last
 
     def set_doc(self, slot: int, text: str | None,
@@ -282,17 +299,34 @@ class VectorIndex(ABC):
               slots: slice | np.ndarray | list[int]) -> list[tuple[float, str]]:
         """The exact (distance, doc_id) of the n given slots nearest to q,
         plus every tie with the nth: the (distance, doc_id) sort of the hits
-        settles the boundary. slots is any numpy index into the rows."""
+        settles the boundary. slots is any numpy index into the rows. A pool
+        of over n rows is screened first: one gemv gives d2 = |x|^2 - 2 x.q +
+        |q|^2, and only rows within rounding of the nth are ranked exactly."""
         t = self._table
+        picked = np.arange(t.count)[slots]
+        if n < picked.shape[0]:
+            with np.errstate(all="ignore"):  # overflow: rank the whole pool
+                # past an eighth of the rows, one gemv over all beats a gather
+                xq = (t.rows @ q)[slots] if 8 * picked.shape[0] > t.count \
+                    else t.rows[slots] @ q
+                norms, qq = t.norms[slots], q @ q
+                d2 = norms - 2.0 * xq + qq
+                kth = np.partition(d2, n - 1)[n - 1]
+                # Screen and kernel each err <= (dim + 2) u S in d2 (u = eps
+                # / 2, S = (max |x| + |q|)^2 >= d2), and a d2 4u S past the
+                # nth's can tie its sqrt: a row the kernel ranks up to the nth
+                # screens <= kth + (2 dim + 6) eps S to first order; 2 dim + 8
+                # covers the higher orders, tiny the underflow.
+                limit = kth + _TINY + (2 * q.shape[0] + 8) * _EPS * (
+                    np.sqrt(norms.max()) + np.sqrt(qq)) ** 2
+            if np.isfinite(limit) and np.isfinite(d2).all():
+                slots = picked = picked[d2 <= limit]
         diff = t.rows[slots] - q
         dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if n < dists.shape[0]:
-            cut = np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
-        else:
-            cut = np.arange(dists.shape[0])
-        picked = np.arange(t.count)[slots][cut]
+        cut = slice(None) if n >= dists.shape[0] else \
+            np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
         return list(zip(dists[cut].tolist(),
-                        [t.ids[s] for s in picked.tolist()]))
+                        [t.ids[s] for s in picked[cut].tolist()]))
 
     def _check_insert_dim(self, got: int) -> None:
         if self._dim is None:

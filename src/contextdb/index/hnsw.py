@@ -19,10 +19,10 @@ neighbors, while a 5% slack restores recall at small ef for a modest extra
 walk.
 
 Distances to the query or the new node are computed for every stored row up
-front with one BLAS matvec (d^2 = |x|^2 - 2 x.q + |q|^2); a query's graph
-walk then costs O(1) per edge. That trades the usual sublinear scan for far
-lower constant factors, which is the right trade in pure Python at the
-scales served here.
+front with one BLAS matvec (d^2 = |x|^2 - 2 x.q + |q|^2, |x|^2 read from the
+slot table); a query's graph walk then costs O(1) per edge. That trades the
+usual sublinear scan for far lower constant factors, which is the right
+trade in pure Python at the scales served here.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class HnswIndex(VectorIndex):
         self._rng = np.random.default_rng(self.params.seed)
         # Slot-indexed, grow-only state. Tombstoned slots stay in place:
         # the slot table only appends, and a dead slot keeps its row and id.
-        self._norms = np.zeros(64, dtype=np.float64)
         self._levels: list[int] = []
         self._graph: list[list[list[int]]] = []   # slot -> layer -> neighbors
         self._entry: int | None = None
@@ -107,19 +106,13 @@ class HnswIndex(VectorIndex):
 
     def _append_slot(self, doc_id: str, values: np.ndarray, level: int) -> int:
         slot = self._table.append(doc_id, values)
-        if slot >= self._norms.shape[0]:
-            grown = np.zeros(max(slot * 2, 64), dtype=np.float64)
-            grown[:slot] = self._norms[:slot]
-            self._norms = grown
-        self._norms[slot] = float(values @ values)
         self._levels.append(level)
         self._graph.append([[] for _ in range(level + 1)])
         return slot
 
     def _distances_to(self, q: np.ndarray) -> np.ndarray:
         """True Euclidean distance from q to every slot, dead ones included."""
-        n = self._table.count
-        d2 = self._norms[:n] - 2.0 * (self._table.rows @ q) + float(q @ q)
+        d2 = self._table.norms - 2.0 * (self._table.rows @ q) + float(q @ q)
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2, out=d2)
 
@@ -204,7 +197,7 @@ class HnswIndex(VectorIndex):
             return slots.tolist()
         x = self._table.rows[slots]                      # (b, n, dim)
         g = x @ x.transpose(0, 2, 1)
-        norms = self._norms[slots]
+        norms = self._table.norms[slots]
         dq2 = d * d
         for end in (min(n, 4 * m), n):
             head = norms[:, :end]

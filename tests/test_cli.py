@@ -268,6 +268,15 @@ class TestBench:
         assert re.search(r"latency_p50_ms=\d+\.\d{3}", out)
         assert re.search(r"latency_p95_ms=\d+\.\d{3}", out)
 
+    def test_reports_the_flat_oracle_latency_beside_the_kind(self, home):
+        code, out, _ = run_cli(["bench", "--n", "300", "--dim", "16",
+                                "--k", "10", "--kind", "hnsw"], home)
+        assert code == 0
+        for name in ("latency", "flat_latency"):
+            for pct in ("p50", "p95"):
+                assert re.search(rf"^{name}_{pct}_ms=\d+\.\d{{3}}$", out,
+                                 re.MULTILINE)
+
     def test_ivf_full_probe_recall_one(self, home):
         code, out, _ = run_cli(["bench", "--n", "400", "--dim", "8", "--k", "5",
                                 "--kind", "ivf", "--nlist", "10",

@@ -246,7 +246,7 @@ def reference_select(index: HnswIndex, pairs: list[tuple[float, int]], m: int,
     slots = np.array([s for _, s in pairs], dtype=np.int64)
     dq2 = np.array([d * d for d, _ in pairs])
     x = index._table.rows[slots]
-    p2 = index._norms[slots][:, None] + index._norms[slots][None, :] \
+    p2 = index._table.norms[slots][:, None] + index._table.norms[slots][None, :] \
         - 2.0 * (x @ x.T)
     np.maximum(p2, 0.0, out=p2)
     sel: list[int] = []

@@ -1,0 +1,273 @@
+"""The exact scan against the difference kernel it screens for.
+
+VectorIndex._scan screens a pool with one gemv over the slot table's squared
+norms, then ranks the rows within rounding of the nth by the difference
+kernel. The reference here is that kernel alone over the whole pool, so
+every hit list, distances and ties included, must come out identical, on
+data built to defeat the screen: duplicated rows, exact ties, rows of norm
+1e3 a hair apart, large offsets and rows whose norms overflow. The norms
+themselves must equal row @ row bit for bit through inserts, removes,
+replaces and a snapshot reload, and an insert must compute none of them.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+
+from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
+                       IvfParams, Vector, load_index, parse_filter)
+from conftest import unit_rows
+
+KS = (1, 4, 10, 50)
+
+
+def reference_scan(index, q: np.ndarray, n: int,
+                   slots) -> list[tuple[float, str]]:
+    """The difference kernel over the whole pool, with the keep-every-tie
+    cut: the scan as it was before the screen."""
+    t = index._table
+    diff = t.rows[slots] - q
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if n < dists.shape[0]:
+        cut = np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
+    else:
+        cut = np.arange(dists.shape[0])
+    picked = np.arange(t.count)[slots][cut]
+    return list(zip(dists[cut].tolist(), [t.ids[s] for s in picked.tolist()]))
+
+
+def expected(index, q: np.ndarray, k: int, slots):
+    return index._to_hits(reference_scan(index, q, k, slots), k)
+
+
+def dataset(kind: str, rng: np.random.Generator, n: int):
+    """(rows, the spread of a perturbed query) for one kind of data."""
+    if kind == "unit":
+        return unit_rows(rng, n, 16), 1e-2
+    if kind == "duplicated":   # 100 rows stored again under other ids
+        rows = unit_rows(rng, n - 100, 8)
+        rows = np.vstack([rows, rows[rng.choice(n - 100, 100)]])
+        return rows[rng.permutation(n)], 1e-2
+    if kind == "near_tied_1e3":  # norm about 1e3, about 1e-9 apart
+        base = 1e3 * unit_rows(rng, 1, 16)[0]
+        return base + 1e-9 * rng.standard_normal((n, 16)), 1e-9
+    if kind == "scale_1e6":
+        return 1e6 * rng.standard_normal((n, 7)), 1e5
+    if kind == "grid":         # exact ties everywhere
+        return rng.integers(-2, 3, (n, 4)).astype(np.float64), 0.0
+    if kind == "offset":       # 5.0 off the origin at 1e-6 spread
+        return 5.0 + 1e-6 * rng.standard_normal((n, 8)), 1e-6
+    if kind == "subnormal":    # squares below the normal range
+        return 1e-158 * rng.standard_normal((n, 8)), 1e-159
+    raise ValueError(kind)
+
+
+KINDS = ("unit", "duplicated", "near_tied_1e3", "scale_1e6", "grid",
+         "offset", "subnormal")
+
+
+def queries(rng: np.random.Generator, rows: np.ndarray, spread: float):
+    """Stored rows as they are, and perturbed by spread."""
+    picks = rows[rng.choice(rows.shape[0], 10, replace=False)]
+    noise = spread * rng.standard_normal(picks.shape)
+    return list(picks[:5]) + list(picks[5:] + noise[5:])
+
+
+def docs(rows: np.ndarray, meta=lambda i: {}):
+    return [Document(f"d{i:04d}", f"t{i}", meta(i), Vector(row))
+            for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestSameHitsAsTheDifferenceKernel:
+    def test_flat_whole_pool_slot_arrays_and_empty(self, rng, kind):
+        rows, spread = dataset(kind, rng, 600)
+        index = FlatIndex()
+        for doc in docs(rows):
+            index.insert(doc)
+        pools = [slice(None), np.array([], dtype=np.int64),
+                 np.flatnonzero(rng.random(600) < 0.3),   # one gemv, picked
+                 np.flatnonzero(rng.random(600) < 0.05)]  # rows gathered
+        for q in queries(rng, rows, spread):
+            for k in KS:
+                assert index.search(Vector(q), k) == \
+                    expected(index, q, k, slice(None))
+                for pool in pools:
+                    assert index._to_hits(index._scan(q, k, pool), k) == \
+                        expected(index, q, k, pool)
+
+    def test_ivf_probed_lists(self, rng, kind):
+        rows, spread = dataset(kind, rng, 600)
+        index = IvfIndex(IvfParams(nlist=8, seed=1))
+        index.train(rows)
+        for doc in docs(rows):
+            index.insert(doc)
+        for q in queries(rng, rows, spread):
+            for nprobe in (1, 3, 8):
+                pool = index._pool(q, nprobe=nprobe)
+                for k in KS:
+                    assert index.search(Vector(q), k, nprobe=nprobe) == \
+                        expected(index, q, min(k, len(index)), pool)
+
+    def test_filtered_hnsw_with_tombstones(self, rng, kind):
+        rows, spread = dataset(kind, rng, 300)
+        index = HnswIndex(HnswParams(m=4, ef_construction=16))
+        for doc in docs(rows, lambda i: {"g": i % 3}):
+            index.insert(doc)
+        for i in rng.choice(300, 30, replace=False):
+            index.remove(f"d{i:04d}")
+        t = index._table
+        for expr, holds in (("g=0", lambda g: g == 0),
+                            ("g!=1", lambda g: g != 1)):
+            filt = parse_filter(expr)
+            keep = [s for s in range(t.count)
+                    if t.metas[s] is not None and holds(t.metas[s]["g"])]
+            for q in queries(rng, rows, spread):
+                for k in KS:
+                    assert index.search_filtered(Vector(q), k, filt) == \
+                        expected(index, q, k, np.array(keep))
+
+
+def test_duplicates_straddling_the_kth_are_all_ranked(rng):
+    rows = unit_rows(rng, 300, 8)
+    q = rows[7] + 1e-3 * rng.standard_normal(8)
+    index = FlatIndex()
+    for doc in docs(rows):
+        index.insert(doc)
+    for k in KS:
+        kth = index.search(Vector(q), k)[-1]
+        twin = index.get(kth.doc_id).embedding
+        for tag in ("a", "z"):   # ids on both sides of the kth's
+            index.insert(Document(f"{tag}-{k}", "", {}, twin))
+        hits = index.search(Vector(q), k + 2)
+        assert hits == expected(index, q, k + 2, slice(None))
+        assert {f"a-{k}", f"z-{k}", kth.doc_id} <= {h.doc_id for h in hits}
+
+
+def test_the_true_neighbour_of_near_tied_large_rows_is_never_dropped(rng):
+    """Rows of norm about 1e3 that differ by about 1e-9: the screen's
+    rounding (about 1e-10 in d^2) dwarfs their d^2 gaps (about 1e-18)."""
+    base = 1e3 * unit_rows(rng, 1, 64)[0]
+    rows = base + 1e-9 * rng.standard_normal((2000, 64))
+    index = FlatIndex()
+    for doc in docs(rows):
+        index.insert(doc)
+    for _ in range(20):
+        q = base + 1e-9 * rng.standard_normal(64)
+        diff = rows - q
+        truth = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+        hits = index.search(Vector(q), 1)
+        assert hits[0].doc_id == f"d{truth:04d}"
+        assert index.search(Vector(q), 10) == \
+            expected(index, q, 10, slice(None))
+
+
+def test_overflowing_norms_fall_back_to_the_exact_kernel(rng):
+    """Finite rows near 1e160 overflow |x|^2: the screen is all NaN and
+    would drop rows, so the whole pool is ranked exactly, silently."""
+    u = unit_rows(rng, 1, 16)[0]
+    steps = rng.permutation(200).astype(np.float64)
+    rows = 1e160 * u + 1e150 * steps[:, None] * unit_rows(rng, 200, 16)
+    q = 1e160 * u
+    flat, hnsw = FlatIndex(), HnswIndex(HnswParams(m=4, ef_construction=16))
+    for doc in docs(rows, lambda i: {"g": i % 2}):
+        flat.insert(doc)
+    with warnings.catch_warnings():  # the graph's build overflows too
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for doc in docs(rows, lambda i: {"g": i % 2}):
+            hnsw.insert(doc)
+    pool = np.flatnonzero(rng.random(200) < 0.5)
+    even = np.arange(0, 200, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in KS:
+            hits = flat.search(Vector(q), k)
+            assert hits == expected(flat, q, k, slice(None))
+            assert hits[0].doc_id == f"d{int(np.argmin(steps)):04d}"
+            assert flat._to_hits(flat._scan(q, k, pool), k) == \
+                expected(flat, q, k, pool)
+            assert hnsw.search_filtered(Vector(q), k, parse_filter("g=0")) \
+                == expected(hnsw, q, k, even)
+
+
+# -- the slot table's squared norms ------------------------------------------
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_norms_exact(index) -> None:
+    """Below the watermark before any read, then every slot after one."""
+    t = index._table
+    want = np.array([row @ row for row in t.rows], dtype=np.float64)
+    lag = t._normed
+    assert np.array_equal(bits(t._norms[:lag]), bits(want[:lag]))
+    assert np.array_equal(bits(t.norms), bits(want))
+
+
+def make_index(kind: str, rng: np.random.Generator, dim: int):
+    if kind == "flat":
+        return FlatIndex()
+    if kind == "hnsw":
+        return HnswIndex(HnswParams(m=4, ef_construction=16))
+    index = IvfIndex(IvfParams(nlist=8))
+    index.train(unit_rows(rng, 64, dim))
+    return index
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf", "hnsw"])
+def test_norms_equal_row_dot_row_through_churn_and_reload(tmp_path, rng,
+                                                          kind):
+    dim = 7
+    index = make_index(kind, rng, dim)
+    live: list[str] = []
+    for step in range(2000):
+        op = rng.random()
+        if op < 0.45 or len(live) < 5:
+            doc_id = f"n{step}"
+            live.append(doc_id)
+        elif op < 0.75:
+            doc_id = live.pop(int(rng.integers(len(live))))
+            assert index.remove(doc_id)
+            doc_id = None
+        else:   # a replace
+            doc_id = live[int(rng.integers(len(live)))]
+        if doc_id is not None:
+            row = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            index.insert(Document(doc_id, "", {}, Vector(row)))
+        if rng.random() < 0.1:   # the watermark lags between checks
+            assert_norms_exact(index)
+    assert_norms_exact(index)
+    index.save(tmp_path / "index.snap")
+    loaded = load_index(tmp_path / "index.snap")
+    assert_norms_exact(loaded)
+    assert np.array_equal(bits(loaded._table.norms), bits(index._table.norms))
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_a_remove_fills_a_normed_slot_with_a_fresh_row(rng, kind):
+    """The row moved into a freed slot below the watermark has no norm yet:
+    the remove computes it there, and the watermark stays put."""
+    index = make_index(kind, rng, 5)
+    rows = unit_rows(rng, 4, 5)
+    for doc in docs(rows[:3]):
+        index.insert(doc)
+    index.search(Vector(rows[0]), 1)       # norms read: watermark 3
+    index.insert(docs(rows)[3])            # slot 3, no norm yet
+    assert index._table._normed == 3
+    index.remove("d0000")                  # slot 3's row moves to slot 0
+    assert index._table._normed == 3
+    assert index._table.ids[:3] == ["d0003", "d0001", "d0002"]
+    assert_norms_exact(index)
+
+
+def test_flat_insert_computes_no_norm(rng):
+    index = FlatIndex()
+    for doc in docs(unit_rows(rng, 10_000, 8)):
+        index.insert(doc)
+    assert index._table._normed == 0
+    index.search(Vector(unit_rows(rng, 1, 8)[0]), 5)
+    assert index._table._normed == 10_000
