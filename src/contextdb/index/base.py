@@ -65,7 +65,7 @@ class SlotTable:
     The metadata is also kept as columns for filtered search. They are
     encoded lazily: columns() encodes the slots appended, moved into or
     rewritten since its last call, and only those (encodings counts every
-    slot it has encoded). So are the rows' squared norms, below _normed."""
+    slot it has encoded). The squared norms are lazy too: set below _normed."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
