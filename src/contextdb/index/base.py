@@ -53,14 +53,15 @@ def unpack_array(obj: dict) -> np.ndarray:
 
 
 class SlotTable:
-    """The stored documents: per slot a float64 row, id, text and metadata,
+    """The stored documents: per slot a float64 row, id, text, metadata and
+    an int64 tag that the index kind assigns (the ivf list, the hnsw level),
     with slot_of mapping each live id to its slot.
 
-    Rows grow amortized (capacity doubles). swap_remove() moves the last slot
-    into the freed one, so the slots are always exactly the live documents
-    and a scan touches nothing stale. An index that tombstones instead (hnsw)
-    only appends; a dead slot keeps its row and stale id, not its text and
-    metadata (None), which set_doc() writes.
+    Rows grow amortized (capacity doubles). swap_remove() moves the last slot,
+    tag and all, into the freed one, so the slots are always exactly the live
+    documents and a scan touches nothing stale. An index that tombstones
+    instead (hnsw) only appends; a dead slot keeps its row, stale id and tag,
+    not its text and metadata (None), which set_doc() writes.
 
     The metadata is also kept as columns for filtered search. They are
     encoded lazily: columns() encodes the slots appended, moved into or
@@ -71,6 +72,7 @@ class SlotTable:
         self._data = np.zeros((0, 0))
         self._norms = np.zeros(0)
         self._normed = 0
+        self._tags = np.zeros(0, dtype=np.int64)
         self.count = 0
         self.ids: list[str] = []
         self.texts: list[str | None] = []
@@ -86,6 +88,10 @@ class SlotTable:
         return self._data[: self.count]
 
     @property
+    def tags(self) -> np.ndarray:
+        return self._tags[: self.count]
+
+    @property
     def norms(self) -> np.ndarray:
         """Each row's squared norm, bit for bit row @ row (a batched einsum
         is not), computed now for the slots appended since the last read."""
@@ -96,7 +102,8 @@ class SlotTable:
         return self._norms[:self.count]
 
     def append(self, doc_id: str, values: np.ndarray, text: str | None = None,
-               meta: Mapping[str, MetaValue] | None = None) -> int:
+               meta: Mapping[str, MetaValue] | None = None,
+               tag: int = 0) -> int:
         slot = self.count
         if slot == self._data.shape[0]:
             grown = np.zeros((max(2 * slot, 64), values.shape[0]))
@@ -104,7 +111,9 @@ class SlotTable:
                 grown[:slot] = self._data
             self._data = grown
             self._norms = np.resize(self._norms, grown.shape[0])
+            self._tags = np.resize(self._tags, grown.shape[0])
         self._data[slot] = values
+        self._tags[slot] = tag
         self.count = slot + 1
         self.ids.append(doc_id)
         self.texts.append(text)
@@ -112,13 +121,14 @@ class SlotTable:
         self.slot_of[doc_id] = slot
         return slot
 
-    def swap_remove(self, doc_id: str) -> tuple[int, int]:
-        """Free doc_id's slot for the last one, returning (slot, last). The
-        caller drops doc_id from slot_of or re-points it."""
+    def swap_remove(self, doc_id: str) -> None:
+        """Free doc_id's slot for the last one. The caller drops doc_id from
+        slot_of or re-points it."""
         slot = self.slot_of[doc_id]
         last = self.count - 1
         if slot != last:
             self._data[slot] = self._data[last]
+            self._tags[slot] = self._tags[last]
             if slot < self._normed:  # the moved row may have had none
                 self._norms[slot] = self._data[slot] @ self._data[slot]
             for column in (self.ids, self.texts, self.metas):
@@ -131,7 +141,6 @@ class SlotTable:
         self.count = last
         self._encoded = min(self._encoded, last)
         self._normed = min(self._normed, last)
-        return slot, last
 
     def set_doc(self, slot: int, text: str | None,
                 meta: Mapping[str, MetaValue] | None) -> None:
@@ -275,10 +284,10 @@ class VectorIndex(ABC):
 
     # -- hooks for subclasses -----------------------------------------------
 
-    def _insert_vector(self, doc: Document) -> int:
-        """Store doc in a new slot; returns the slot."""
-        return self._table.append(doc.id, doc.embedding.values, doc.text,
-                                  doc.metadata)
+    def _insert_vector(self, doc: Document) -> None:
+        """Store doc in a new slot."""
+        self._table.append(doc.id, doc.embedding.values, doc.text,
+                           doc.metadata)
 
     def _remove_vector(self, doc_id: str) -> None:
         """Free doc_id's slot; the caller drops or re-points the id."""

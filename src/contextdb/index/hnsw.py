@@ -90,9 +90,9 @@ class HnswIndex(VectorIndex):
         self.params = params or HnswParams()
         self._mult = 1.0 / math.log(self.params.m)
         self._rng = np.random.default_rng(self.params.seed)
-        # Slot-indexed, grow-only state. Tombstoned slots stay in place:
-        # the slot table only appends, and a dead slot keeps its row and id.
-        self._levels: list[int] = []
+        # The one slot-indexed state outside the slot table, which holds
+        # each slot's level as its tag. Both only grow: a tombstoned slot
+        # keeps its row, id, level and links.
         self._graph: list[list[list[int]]] = []   # slot -> layer -> neighbors
         self._entry: int | None = None
         self._max_level = -1
@@ -101,14 +101,6 @@ class HnswIndex(VectorIndex):
     def _slot_of(self) -> dict[str, int]:
         """Live doc id -> slot (benchmark/tests/test_smoke.py reads it)."""
         return self._table.slot_of
-
-    # -- slot bookkeeping --------------------------------------------------
-
-    def _append_slot(self, doc_id: str, values: np.ndarray, level: int) -> int:
-        slot = self._table.append(doc_id, values)
-        self._levels.append(level)
-        self._graph.append([[] for _ in range(level + 1)])
-        return slot
 
     def _distances_to(self, q: np.ndarray) -> np.ndarray:
         """True Euclidean distance from q to every slot, dead ones included."""
@@ -167,7 +159,7 @@ class HnswIndex(VectorIndex):
         if layer == 0:
             d, slots = dist, np.arange(dist.shape[0])
         else:
-            slots = np.flatnonzero(np.array(self._levels[:len(dist)]) >= layer)
+            slots = np.flatnonzero(self._table.tags[:len(dist)] >= layer)
             d = dist[slots]
         ef = self.params.ef_construction
         if d.shape[0] > ef:
@@ -246,8 +238,9 @@ class HnswIndex(VectorIndex):
         level = int(-math.log(u) * self._mult)
         # distances to every slot but the one added below
         dist = None if self._entry is None else self._distances_to(values)
-        slot = self._append_slot(doc.id, values, level)
-        self._table.set_doc(slot, doc.text, doc.metadata)
+        slot = self._table.append(doc.id, values, doc.text, doc.metadata,
+                                  level)
+        self._graph.append([[] for _ in range(level + 1)])
         if dist is None:
             self._entry, self._max_level = slot, level
             return
@@ -308,7 +301,7 @@ class HnswIndex(VectorIndex):
         return {"params": asdict(self.params),
                 "entry": self._entry,
                 "max_level": self._max_level,
-                "levels": self._levels,
+                "levels": table.tags.tolist(),
                 "alive": [meta is not None for meta in table.metas],
                 "ids": table.ids,
                 "graph": self._graph,
@@ -324,24 +317,30 @@ class HnswIndex(VectorIndex):
         index = cls(HnswParams(m=p["m"], ef_construction=p["ef_construction"],
                                ef_search=p["ef_search"], seed=p["seed"]))
         rows = unpack_array(state["vectors"])
-        table = index._table
-        levels = state["levels"]
-        for slot, doc_id in enumerate(state["ids"]):
-            index._append_slot(doc_id, rows[slot], int(levels[slot]))
-        table.slot_of.clear()  # refilled below with the live documents
-        if table.count:
-            index._dim = rows.shape[1]
-        live = state["alive"]
+        if not np.isfinite(rows).all():
+            raise ValueError("vector coordinates must be finite")
+        ids, live, levels = state["ids"], state["alive"], state["levels"]
         index._graph = [[[int(nb) for nb in layer] for layer in node]
                         for node in state["graph"]]
         index._entry = None if state["entry"] is None else int(state["entry"])
         index._max_level = int(state["max_level"])
         index._rng.bit_generator.state = state["rng_state"]
-        n = table.count
-        if {len(live), len(levels), len(index._graph)} != {n}:
+        n = len(ids)
+        if {len(rows), len(live), len(levels), len(index._graph)} != {n}:
             raise ValueError("graph and slot table differ in size")
+        table = index._table
+        for slot, doc_id in enumerate(ids):
+            level = int(levels[slot])  # layers bound it: it fits the tag
+            if not 0 <= level <= index._max_level or \
+                    len(index._graph[slot]) != level + 1:
+                raise ValueError(f"level {level} of slot {slot} does not "
+                                 "match the graph")
+            table.append(doc_id, rows[slot], tag=level)
+        table.slot_of.clear()  # refilled below with the live documents
+        if n:
+            index._dim = rows.shape[1]
         if (index._entry is None) != (n == 0) or \
-                (n and index._levels[index._entry] != index._max_level):
+                (n and table.tags[index._entry] != index._max_level):
             raise ValueError("entry point does not match the graph")
         for entry in state["docs"]:
             slot = entry["slot"]

@@ -1,19 +1,18 @@
 """IVF-Flat index: a k-means coarse quantizer over inverted lists.
 
 train() fits centroids on a sample; every inserted vector lands in the list
-of its nearest centroid. Lists hold slots of the slot table, so a removal,
-which moves the last row into the freed slot, renames one list member in
-O(1). A search scores the query against all centroids and scans the slots
-of the nprobe nearest lists with the flat index's exact scan; a filtered
-search scans those of them that match. With nprobe == nlist every list is
-scanned, so results coincide with the flat index bit for bit.
+of its nearest centroid. A slot's list is its slot-table tag, so a removal,
+which moves the last row into the freed slot, moves the list with it. A
+search scores the query against all centroids and scans the slots tagged
+with one of the nprobe nearest lists with the flat index's exact scan; a
+filtered search scans those of them that match. With nprobe == nlist every
+list is scanned, so results coincide with the flat index bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -83,8 +82,6 @@ class IvfIndex(VectorIndex):
         self.params = params or IvfParams()
         self._centroids: np.ndarray | None = None
         self._nlist = 0
-        self._lists: list[set[int]] = []   # list -> the slots it holds
-        self._list_of: list[int] = []      # slot -> its list
 
     @property
     def trained(self) -> bool:
@@ -124,7 +121,6 @@ class IvfIndex(VectorIndex):
         super()._check_insert_dim(centroids.shape[1])
         self._centroids = centroids
         self._nlist = centroids.shape[0]
-        self._lists = [set() for _ in range(self._nlist)]
 
     # -- snapshot state -----------------------------------------------------
 
@@ -158,23 +154,15 @@ class IvfIndex(VectorIndex):
         super()._check_search_ready(query, k)
 
     def _insert_vector(self, doc: Document) -> None:
-        diff = self._centroids - doc.embedding.values
-        cid = int(np.einsum("ij,ij->i", diff, diff).argmin())
-        self._lists[cid].add(super()._insert_vector(doc))
-        self._list_of.append(cid)
-
-    def _remove_vector(self, doc_id: str) -> None:
-        slot, last = self._table.swap_remove(doc_id)
-        self._lists[self._list_of[slot]].remove(slot)
-        moved = self._list_of.pop()  # the list of the row that was last
-        if slot != last:
-            self._lists[moved].remove(last)
-            self._lists[moved].add(slot)
-            self._list_of[slot] = moved
+        values = doc.embedding.values
+        diff = self._centroids - values
+        self._table.append(doc.id, values, doc.text, doc.metadata,
+                           int(np.einsum("ij,ij->i", diff, diff).argmin()))
 
     def _pool(self, q: np.ndarray, *,
               nprobe: int | None = None) -> np.ndarray:
-        """The slots of the nprobe lists whose centroids are nearest to q."""
+        """The slots, ascending, of the nprobe lists whose centroids are
+        nearest to q."""
         if nprobe is None:
             nprobe = self.params.nprobe if self.params.nprobe is not None \
                 else min(8, self._nlist)
@@ -182,7 +170,6 @@ class IvfIndex(VectorIndex):
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         diff = self._centroids - q
         cd = np.einsum("ij,ij->i", diff, diff)
-        probe = [self._lists[c]
-                 for c in np.argsort(cd, kind="stable")[:nprobe]]
-        return np.fromiter(chain.from_iterable(probe), dtype=np.int64,
-                           count=sum(map(len, probe)))
+        probed = np.zeros(self._nlist, dtype=bool)
+        probed[np.argsort(cd, kind="stable")[:nprobe]] = True
+        return np.flatnonzero(probed[self._table.tags])

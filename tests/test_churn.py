@@ -1,12 +1,13 @@
 """Churn on the two indexes whose slot table compacts by swap-remove.
 
 Random inserts, replacements and removes run against the brute-force
-oracle, searched with and without a filter, with the slot table's and the
-ivf lists' invariants checked as they go, and then through a save/load
-round trip. The filtered check runs after every remove and replace, since
-each one moves a slot's metadata in the columns that filters read. ivf
-probes every list (nprobe == nlist), so it must agree with the oracle
-exactly.
+oracle, searched with and without a filter, with the slot table's
+invariants (on ivf, each slot's tag is its list) checked as they go, and
+then through a save/load round trip. The filtered check runs after every
+remove and replace, since each one moves a slot's metadata in the columns
+that filters read. ivf probes every list (nprobe == nlist), so it must
+agree with the oracle exactly; a last test probes fewer, against an oracle
+of that probe.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ def check_slots(index, live: dict[str, np.ndarray],
         assert table.ids[slot] == doc_id
         assert np.array_equal(table.rows[slot], live[doc_id])
         assert (table.texts[slot], dict(table.metas[slot])) == attrs[doc_id]
-    if index.kind == "ivf":
-        members = sorted(s for lst in index._lists for s in lst)
-        assert members == list(range(table.count))
-        assert len(index._list_of) == table.count
+    if index.kind == "ivf":  # each slot's tag is its nearest centroid's list
         d2 = ((table.rows[:, None, :] - index._centroids[None]) ** 2).sum(-1)
-        for c, lst in enumerate(index._lists):
-            for slot in lst:
-                assert index._list_of[slot] == c
-                assert int(d2[slot].argmin()) == c
+        assert table.tags.tolist() == d2.argmin(axis=1).tolist()
 
 
 def check_oracle(index, live: dict[str, np.ndarray],
@@ -85,7 +80,7 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
             if slot == last:
                 removed_last += 1
             elif kind == "ivf" and \
-                    index._list_of[slot] != index._list_of[last]:
+                    index._table.tags[slot] != index._table.tags[last]:
                 removed_across_lists += 1
             assert index.remove(doc_id)
             del live[doc_id], attrs[doc_id]
@@ -118,3 +113,55 @@ def test_churn_matches_oracle_and_round_trips(tmp_path, rng, kind):
     check_oracle(restored, live, attrs, queries)
     for q in queries:
         assert restored.search(Vector(q), 7) == index.search(Vector(q), 7)
+
+
+def test_ivf_partial_probe_matches_the_probe_oracle(tmp_path, rng):
+    """Below nprobe == nlist an ivf search is exact within its probe. The
+    oracle probes the nprobe centroids nearest the query (stable order),
+    keeps the live rows whose nearest centroid is one of them, and brute-
+    forces k among those, unfiltered and under a filter, through churn and
+    a save/load."""
+    nprobe, k = 3, 8
+    index = IvfIndex(IvfParams(nlist=8, nprobe=nprobe, seed=5))
+    index.train(unit_rows(rng, 160, DIM))
+    centroids = index.centroids
+    queries = unit_rows(rng, 12, DIM)
+    live: dict[str, np.ndarray] = {}
+    odd: dict[str, bool] = {}
+
+    def check(idx) -> int:
+        narrowed = 0
+        for q in queries:
+            probed = np.argsort(((centroids - q) ** 2).sum(-1),
+                                kind="stable")[:nprobe]
+            pool = sorted(i for i in live if int(
+                ((centroids - live[i]) ** 2).sum(-1).argmin()) in probed)
+            narrowed += len(pool) < len(live)
+            for ids, hits in (
+                    (pool, idx.search(Vector(q), k)),
+                    ([i for i in pool if odd[i]], idx.search_filtered(
+                        Vector(q), k, parse_filter("odd=true")))):
+                want = brute_force_knn(np.stack([live[i] for i in ids]), ids,
+                                       q, k) if ids else []
+                assert [h.doc_id for h in hits] == [w[0] for w in want]
+                np.testing.assert_allclose([h.distance for h in hits],
+                                           [w[1] for w in want], atol=1e-9)
+        return narrowed
+
+    for step in range(400):
+        if live and rng.random() < 0.35:
+            doc_id = sorted(live)[rng.integers(len(live))]
+            assert index.remove(doc_id)
+            del live[doc_id], odd[doc_id]
+        else:
+            doc_id = sorted(live)[rng.integers(len(live))] \
+                if live and rng.random() < 0.2 else f"p{step:04d}"
+            live[doc_id], odd[doc_id] = unit_rows(rng, 1, DIM)[0], step % 2
+            index.insert(Document(id=doc_id, text="", metadata={
+                "odd": bool(odd[doc_id])}, embedding=Vector(live[doc_id])))
+        if step % 40 == 39:
+            assert check(index) == len(queries)
+
+    path = tmp_path / "ivf.snap"
+    index.save(path)
+    assert check(load_index(path)) == len(queries)

@@ -324,7 +324,8 @@ class TestConstruction:
         # integer distances: many exact ties, broken by slot
         dist = rng.integers(0, 6, size=len(data)).astype(np.float64)
         for layer in range(index._max_level + 1):
-            members = [s for s, lv in enumerate(index._levels) if lv >= layer]
+            members = [s for s, lv in enumerate(index._table.tags.tolist())
+                       if lv >= layer]
             want = sorted((float(dist[s]), s) for s in members)[:25]
             d, slots = index._candidates(dist, layer)
             assert list(zip(d.tolist(), slots.tolist())) == want

@@ -8,6 +8,7 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        IvfParams, SnapshotCorruptError, SnapshotVersionError,
                        StorageError, Vector, load_index, read_header,
                        save_index)
+from contextdb.index.base import pack_array, unpack_array
 from conftest import HEADER, make_docs, rewrite_payload, unit_rows
 from snapshot_v1 import make as snapshot_v1
 
@@ -212,6 +213,51 @@ class TestMalformedPayload:
         snapshot_v1.build("hnsw").save(path)
         rewrite_payload(path, lambda p: p.update(entry=10 ** 6))
         with pytest.raises(SnapshotCorruptError):
+            load_index(path)
+
+    @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+    def test_non_finite_vector(self, tmp_path, kind):
+        path = tmp_path / "n.snap"
+        snapshot_v1.build(kind).save(path)
+
+        def edit(payload):
+            rows = unpack_array(payload["vectors"])
+            rows[2, 1] = np.nan
+            payload["vectors"] = pack_array(rows)
+
+        rewrite_payload(path, edit)
+        with pytest.raises(SnapshotCorruptError, match="finite"):
+            load_index(path)
+
+    @pytest.mark.parametrize("how", ["past-max_level", "negative",
+                                     "entry-layers-cut-to-one"])
+    def test_hnsw_level_that_does_not_match_the_graph(self, tmp_path, how):
+        path = tmp_path / "l.snap"
+        snapshot_v1.build("hnsw").save(path)
+
+        def edit(payload):
+            if how == "past-max_level":
+                payload["levels"][0] = payload["max_level"] + 1
+            elif how == "negative":
+                payload["levels"][0] = -1
+            else:
+                del payload["graph"][payload["entry"]][1:]
+
+        rewrite_payload(path, edit)
+        with pytest.raises(SnapshotCorruptError, match="does not match"):
+            load_index(path)
+
+    def test_hnsw_level_past_the_tag_dtype(self, tmp_path):
+        # the level is refused before it could reach the tag column
+        big = int(np.iinfo(HnswIndex()._table.tags.dtype).max) + 1
+        path = tmp_path / "t.snap"
+        snapshot_v1.build("hnsw").save(path)
+
+        def edit(payload):
+            payload["levels"][payload["entry"]] = payload["max_level"] = big
+
+        rewrite_payload(path, edit)
+        with pytest.raises(SnapshotCorruptError, match="does not match"):
             load_index(path)
 
     def test_fewer_documents_than_the_header_counts(self, tmp_path):
