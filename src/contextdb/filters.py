@@ -12,6 +12,7 @@ OP one of ``= != < <= > >= in``. Strings are double-quoted, booleans are
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -264,150 +265,16 @@ class MetaColumns:
 
 # --- string grammar ---------------------------------------------------------
 
-class _Cursor:
-    """Scanner over the filter source with 1-based column reporting."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    @property
-    def column(self) -> int:
-        return self.pos + 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if not self.eof() else ""
-
-    def skip_ws(self) -> None:
-        while not self.eof() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def take(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def error(self, message: str) -> FilterParseError:
-        return FilterParseError(message, self.column)
-
-
-def _parse_field(cur: _Cursor) -> str:
-    start = cur.pos
-    ch = cur.peek()
-    if not (ch.isalpha() or ch == "_"):
-        raise cur.error("expected a field name")
-    while not cur.eof():
-        ch = cur.peek()
-        if ch.isalnum() or ch in "_.-":
-            cur.pos += 1
-        else:
-            break
-    return cur.text[start:cur.pos]
-
-
-def _parse_op(cur: _Cursor) -> Op:
-    for token, op in (("!=", Op.NE), ("<=", Op.LE), (">=", Op.GE),
-                      ("<", Op.LT), (">", Op.GT), ("=", Op.EQ)):
-        if cur.take(token):
-            return op
-    if cur.text[cur.pos:cur.pos + 2].lower() == "in":
-        after = cur.text[cur.pos + 2:cur.pos + 3]
-        if after == "" or not (after.isalnum() or after == "_"):
-            cur.pos += 2
-            return Op.IN
-    raise cur.error("expected an operator (=, !=, <, <=, >, >=, in)")
-
-
-def _parse_string(cur: _Cursor) -> str:
-    # opening quote already checked by caller
-    cur.pos += 1
-    out: list[str] = []
-    while True:
-        if cur.eof():
-            raise cur.error("unterminated string literal")
-        ch = cur.text[cur.pos]
-        if ch == "\\":
-            if cur.pos + 1 >= len(cur.text) or cur.text[cur.pos + 1] not in '"\\':
-                raise cur.error("invalid escape in string literal")
-            out.append(cur.text[cur.pos + 1])
-            cur.pos += 2
-        elif ch == '"':
-            cur.pos += 1
-            return "".join(out)
-        else:
-            out.append(ch)
-            cur.pos += 1
-
-
-def _parse_number(cur: _Cursor) -> int | float:
-    start = cur.pos
-    if cur.peek() in "+-":
-        cur.pos += 1
-    digits_before = False
-    while cur.peek().isdigit():
-        cur.pos += 1
-        digits_before = True
-    is_float = False
-    if cur.peek() == ".":
-        cur.pos += 1
-        is_float = True
-        if not cur.peek().isdigit():
-            cur.pos = start
-            raise cur.error("expected digits after decimal point")
-        while cur.peek().isdigit():
-            cur.pos += 1
-    if not digits_before and not is_float:
-        cur.pos = start
-        raise cur.error("expected a literal")
-    if cur.peek() in "eE":
-        mark = cur.pos
-        cur.pos += 1
-        if cur.peek() in "+-":
-            cur.pos += 1
-        if cur.peek().isdigit():
-            is_float = True
-            while cur.peek().isdigit():
-                cur.pos += 1
-        else:
-            cur.pos = mark
-    text = cur.text[start:cur.pos]
-    return float(text) if is_float else int(text)
-
-
-def _parse_literal(cur: _Cursor) -> MetaValue:
-    cur.skip_ws()
-    if cur.eof():
-        raise cur.error("expected a literal")
-    ch = cur.peek()
-    if ch == '"':
-        return _parse_string(cur)
-    if ch.isdigit() or ch in "+-.":
-        return _parse_number(cur)
-    for word, value in (("true", True), ("false", False)):
-        if cur.text[cur.pos:cur.pos + len(word)].lower() == word:
-            after = cur.text[cur.pos + len(word):cur.pos + len(word) + 1]
-            if after == "" or not (after.isalnum() or after == "_"):
-                cur.pos += len(word)
-                return value
-    raise cur.error("expected a literal (number, \"string\", true, or false)")
-
-
-def _parse_in_list(cur: _Cursor) -> tuple[MetaValue, ...]:
-    cur.skip_ws()
-    if not cur.take("("):
-        raise cur.error("expected '(' after in")
-    items: list[MetaValue] = [_parse_literal(cur)]
-    while True:
-        cur.skip_ws()
-        if cur.take(")"):
-            return tuple(items)
-        if not cur.take(","):
-            raise cur.error("expected ',' or ')' in list")
-        items.append(_parse_literal(cur))
+# Token patterns, each matched at a position. \w is isalnum() or "_", and
+# \d a decimal digit, the only kind int() and float() read; (?ai:) folds
+# ASCII case only. A field must also start with isalpha() or "_". A string
+# match without its closing quote stops at the end or at a bad escape.
+_SPACE_RE = re.compile(r"\s*")
+_FIELD_RE = re.compile(r"[\w.-]+")
+_OP_RE = re.compile(r"!=|<=|>=|<|>|=|(?ai:in)(?!\w)")
+_STRING_RE = re.compile(r'"((?:[^"\\]|\\["\\])*)("?)')
+_NUMBER_RE = re.compile(r"([+-]?)(\d*)(\.\d*)?([eE][+-]?\d+)?")
+_BOOLEAN_RE = re.compile(r"(?ai:true|false)(?!\w)")
 
 
 def parse_filter(text: str) -> FilterExpr:
@@ -416,26 +283,72 @@ def parse_filter(text: str) -> FilterExpr:
     Raises FilterParseError with a 1-based column on any malformed input;
     blank input parses to the match-all expression.
     """
-    cur = _Cursor(text)
-    cur.skip_ws()
-    if cur.eof():
+    pos = _SPACE_RE.match(text).end()
+    if pos == len(text):
         return FilterExpr.match_all()
     clauses: list[Clause] = []
     while True:
-        cur.skip_ws()
-        field = _parse_field(cur)
-        cur.skip_ws()
-        op = _parse_op(cur)
+        m = _FIELD_RE.match(text, pos)
+        if m is None or not (m[0][0].isalpha() or m[0][0] == "_"):
+            raise FilterParseError("expected a field name", pos + 1)
+        field = m[0]
+        pos = _SPACE_RE.match(text, m.end()).end()
+        m = _OP_RE.match(text, pos)
+        if m is None:
+            raise FilterParseError(
+                "expected an operator (=, !=, <, <=, >, >=, in)", pos + 1)
+        op = Op(m[0].lower())
+        pos = m.end()
         if op is Op.IN:
-            value: MetaValue | tuple[MetaValue, ...] = _parse_in_list(cur)
-        else:
-            value = _parse_literal(cur)
+            pos = _SPACE_RE.match(text, pos).end()
+            if not text.startswith("(", pos):
+                raise FilterParseError("expected '(' after in", pos + 1)
+            pos += 1
+        items: list[MetaValue] = []
+        while True:                     # one literal, or the items of a list
+            pos = _SPACE_RE.match(text, pos).end()
+            if text.startswith('"', pos):
+                m = _STRING_RE.match(text, pos)
+                if not m[2]:
+                    raise FilterParseError(
+                        "unterminated string literal" if m.end() == len(text)
+                        else "invalid escape in string literal", m.end() + 1)
+                items.append(re.sub(r"\\(.)", r"\1", m[1]))
+            elif m := _BOOLEAN_RE.match(text, pos):
+                items.append(m[0].lower() == "true")
+            else:
+                m = _NUMBER_RE.match(text, pos)
+                sign, digits, point, exponent = m.groups()
+                if point == ".":
+                    raise FilterParseError(
+                        "expected digits after decimal point", pos + 1)
+                if not digits and not point:
+                    raise FilterParseError("expected a literal" + (
+                        "" if sign or pos == len(text) else
+                        ' (number, "string", true, or false)'), pos + 1)
+                try:
+                    items.append(float(m[0]) if point or exponent
+                                 else int(m[0]))
+                except ValueError as exc:   # past int()'s digit limit
+                    raise FilterParseError(str(exc), pos + 1) from None
+            pos = m.end()
+            if op is not Op.IN:
+                break
+            pos = _SPACE_RE.match(text, pos).end()
+            if text.startswith(")", pos):
+                pos += 1
+                break
+            if not text.startswith(",", pos):
+                raise FilterParseError("expected ',' or ')' in list", pos + 1)
+            pos += 1
         try:
-            clauses.append(Clause(field, op, value))
+            clauses.append(Clause(field, op, tuple(items) if op is Op.IN
+                                  else items[0]))
         except ValueError as exc:
-            raise cur.error(str(exc)) from None
-        cur.skip_ws()
-        if cur.eof():
+            raise FilterParseError(str(exc), pos + 1) from None
+        pos = _SPACE_RE.match(text, pos).end()
+        if pos == len(text):
             return FilterExpr(tuple(clauses))
-        if not cur.take("&&"):
-            raise cur.error("expected '&&' between clauses")
+        if not text.startswith("&&", pos):
+            raise FilterParseError("expected '&&' between clauses", pos + 1)
+        pos = _SPACE_RE.match(text, pos + 2).end()

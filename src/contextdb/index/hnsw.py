@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -170,14 +171,14 @@ class HnswIndex(VectorIndex):
         pick = pick[np.argsort(d[pick], kind="stable")[:ef]]
         return d[pick], slots[pick]
 
-    def _select_neighbors(self, d: np.ndarray, slots: np.ndarray, m: int,
-                          keep_pruned: bool) -> list[list[int]]:
+    def _select_neighbors(self, d: np.ndarray, slots: np.ndarray,
+                          m: int) -> list[list[int]]:
         """Diversity-aware pick, for b independent candidate lists at once.
         d and slots are (b, n); each row is sorted by (distance to its own
         target, slot). Scanning a row in that order, keep a candidate only
         if no already-kept one sits closer to it than the target does (kept
         iff p2 >= d^2 against every kept one, so a tie is kept), until m are
-        kept. keep_pruned then backfills from the rejects, in scan order.
+        kept, then backfill from the rejects, in scan order.
 
         The p2 < d^2 test is first built for the leading 4m candidates only:
         an insert's scan of ef_construction candidates mostly has m kept
@@ -208,7 +209,7 @@ class HnswIndex(VectorIndex):
                 break
         picks = []
         for row, sel in zip(slots.tolist(), sels):
-            if keep_pruned and len(sel) < m:   # every candidate was scanned
+            if len(sel) < m:   # every candidate was scanned
                 kept = set(sel)
                 sel += [j for j in range(n) if j not in kept][:m - len(sel)]
             picks.append([row[j] for j in sel])
@@ -224,7 +225,7 @@ class HnswIndex(VectorIndex):
         order = np.lexsort((links, d))
         kept = self._select_neighbors(np.take_along_axis(d, order, 1),
                                       np.take_along_axis(links, order, 1),
-                                      m_max, keep_pruned=True)
+                                      m_max)
         for s, chosen in zip(nodes, kept):
             self._graph[s][layer] = chosen
 
@@ -248,8 +249,7 @@ class HnswIndex(VectorIndex):
         for layer in range(min(level, self._max_level), -1, -1):
             m_max = 2 * m if layer == 0 else m
             d, slots = self._candidates(dist, layer)
-            chosen = self._select_neighbors(d[None], slots[None], m,
-                                            keep_pruned=True)[0]
+            chosen = self._select_neighbors(d[None], slots[None], m)[0]
             self._graph[slot][layer] = chosen
             full = []
             for nb in chosen:
@@ -339,6 +339,15 @@ class HnswIndex(VectorIndex):
         table.slot_of.clear()  # refilled below with the live documents
         if n:
             index._dim = rows.shape[1]
+        # a link in layer L must reach a slot whose level is L or more
+        graph = index._graph
+        links = np.fromiter(chain.from_iterable(chain.from_iterable(graph)),
+                            dtype=np.int64)
+        layers = np.repeat([lv for node in graph for lv in range(len(node))],
+                           [len(nbs) for node in graph for nbs in node])
+        if links.size and (links.min() < 0 or links.max() >= n or
+                           (table.tags[links] < layers).any()):
+            raise ValueError("a link does not match the graph")
         if (index._entry is None) != (n == 0) or \
                 (n and table.tags[index._entry] != index._max_level):
             raise ValueError("entry point does not match the graph")

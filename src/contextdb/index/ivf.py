@@ -81,7 +81,6 @@ class IvfIndex(VectorIndex):
         super().__init__()
         self.params = params or IvfParams()
         self._centroids: np.ndarray | None = None
-        self._nlist = 0
 
     @property
     def trained(self) -> bool:
@@ -89,7 +88,7 @@ class IvfIndex(VectorIndex):
 
     @property
     def nlist(self) -> int:
-        return self._nlist
+        return 0 if self._centroids is None else self._centroids.shape[0]
 
     @property
     def centroids(self) -> np.ndarray | None:
@@ -120,7 +119,6 @@ class IvfIndex(VectorIndex):
         # the base check: this very call is what trains the index
         super()._check_insert_dim(centroids.shape[1])
         self._centroids = centroids
-        self._nlist = centroids.shape[0]
 
     # -- snapshot state -----------------------------------------------------
 
@@ -165,11 +163,11 @@ class IvfIndex(VectorIndex):
         nearest to q."""
         if nprobe is None:
             nprobe = self.params.nprobe if self.params.nprobe is not None \
-                else min(8, self._nlist)
+                else min(8, self.nlist)
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         diff = self._centroids - q
         cd = np.einsum("ij,ij->i", diff, diff)
-        probed = np.zeros(self._nlist, dtype=bool)
+        probed = np.zeros(self.nlist, dtype=bool)
         probed[np.argsort(cd, kind="stable")[:nprobe]] = True
         return np.flatnonzero(probed[self._table.tags])

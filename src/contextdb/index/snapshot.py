@@ -106,7 +106,7 @@ def load_index(path: str | Path) -> VectorIndex:
     try:
         index = kind._from_state(payload)
     except (LookupError, TypeError, ValueError, AttributeError,
-            ContextDbError) as exc:
+            OverflowError, ContextDbError) as exc:
         raise SnapshotCorruptError(f"{path}: malformed {kind.kind} payload: "
                                    f"{type(exc).__name__}: {exc}") from exc
     if len(index) != count:

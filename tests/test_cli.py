@@ -192,6 +192,17 @@ class TestIngestAndQuery:
         assert code == 1
         assert "column 7" in err
 
+    def test_filter_with_a_non_decimal_digit_exits_1(self, home, tmp_path):
+        catalog = tmp_path / "c.jsonl"
+        write_catalog(catalog, SHOES_JSONL)
+        run_cli(["ingest", "--catalog", str(catalog), "--index",
+                 str(tmp_path / "idx"), "--embedder", "fixture"], home)
+        code, _, err = run_cli(
+            ["query", "--index", str(tmp_path / "idx"), "--q", "Reebok",
+             "--filter", "x=\u00b2"], home)
+        assert code == 1, err
+        assert "column 3" in err and "Traceback" not in err
+
     def test_query_determinism_excluding_latency(self, home, tmp_path):
         catalog = tmp_path / "c.jsonl"
         write_catalog(catalog, SHOES_JSONL)

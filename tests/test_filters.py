@@ -64,6 +64,12 @@ class TestParse:
         ("size in 9", 9),        # missing parenthesis
         ("size in (9", 11),      # unterminated list
         ("price<", 7),           # missing literal
+        ("x=1.", 3),             # no digits after the point
+        ("x=-", 3),              # sign without digits
+        ("x in (1,)", 9),        # trailing comma
+        (r'x="a\q"', 5),         # invalid escape
+        ("x=\u00b2", 3),         # isdigit() but not a decimal digit
+        pytest.param("x=" + "9" * 5000, 3, id="x=9*5000"),  # int() limit
     ])
     def test_errors_carry_1based_column(self, text, column):
         with pytest.raises(FilterParseError) as exc_info:

@@ -98,6 +98,18 @@ class TestRecall:
             hb = [(h.doc_id, h.distance) for h in b.search(Vector(q), 5)]
             assert ha == hb
 
+    def test_scaling_the_data_scales_only_the_distances(self, rng):
+        # _BEAM_SLACK is a ratio, so no walk depends on the data's scale;
+        # a power-of-two scale is exact, so the distances match bit for bit
+        data = unit_rows(rng, 1500, 16)
+        base, scaled = build(data), build(8.0 * data)
+        for q in unit_rows(rng, 100, 16):
+            want = [(h.doc_id, 8.0 * h.distance)
+                    for h in base.search(Vector(q), 10)]
+            got = [(h.doc_id, h.distance)
+                   for h in scaled.search(Vector(8.0 * q), 10)]
+            assert got == want
+
 
 class TestTombstones:
     def test_removed_never_returned_but_still_routes(self, rng):
@@ -236,13 +248,14 @@ class TestFiltered:
             index.search_filtered(q, 3, parse_filter("x=1"), ef_search=0)
 
 
-def reference_select(index: HnswIndex, pairs: list[tuple[float, int]], m: int,
-                     keep_pruned: bool) -> tuple[list[int], int]:
+def reference_select(index: HnswIndex, pairs: list[tuple[float, int]],
+                     m: int) -> tuple[list[int], int, int]:
     """The diversity scan as a plain loop, one candidate and one kept
-    neighbor at a time. Returns the picked slots and how many candidates
-    the scan looked at before it stopped."""
+    neighbor at a time, then the backfill from the rejects. Returns the
+    picked slots, how many candidates the scan looked at before it
+    stopped, and how many picks the backfill added."""
     if len(pairs) <= m:
-        return [s for _, s in pairs], len(pairs)
+        return [s for _, s in pairs], len(pairs), 0
     slots = np.array([s for _, s in pairs], dtype=np.int64)
     dq2 = np.array([d * d for d, _ in pairs])
     x = index._table.rows[slots]
@@ -260,12 +273,8 @@ def reference_select(index: HnswIndex, pairs: list[tuple[float, int]], m: int,
             sel.append(i)
         else:
             rejected.append(i)
-    if keep_pruned:
-        for i in rejected:
-            if len(sel) == m:
-                break
-            sel.append(i)
-    return [int(slots[i]) for i in sel], scanned
+    backfill = rejected[:m - len(sel)]
+    return [int(slots[i]) for i in sel + backfill], scanned, len(backfill)
 
 
 class TestConstruction:
@@ -285,17 +294,13 @@ class TestConstruction:
                 batch.append(sorted(zip(d.tolist(), slots.tolist())))
             d = np.array([[dist for dist, _ in pairs] for pairs in batch])
             slots = np.array([[s for _, s in pairs] for pairs in batch])
-            for keep_pruned in (False, True):
-                got = index._select_neighbors(d, slots, m, keep_pruned)
-                for pairs, picked in zip(batch, got):
-                    want, scanned = reference_select(index, pairs, m,
-                                                     keep_pruned)
-                    assert picked == want
-                    cut_short += scanned < n
-                    if keep_pruned:
-                        plain, _ = reference_select(index, pairs, m, False)
-                        backfilled += len(want) > len(plain)
-        # the random lists hit both the m cutoff and the keep_pruned backfill
+            got = index._select_neighbors(d, slots, m)
+            for pairs, picked in zip(batch, got):
+                want, scanned, added = reference_select(index, pairs, m)
+                assert picked == want
+                cut_short += scanned < n
+                backfilled += added > 0
+        # the random lists hit both the m cutoff and the backfill
         assert cut_short > 0 and backfilled > 0
 
     def test_select_neighbors_keeps_an_exact_tie(self):
@@ -310,10 +315,9 @@ class TestConstruction:
         a, b, c = (index._table.slot_of[name] for name in "abc")
         pairs = [(10.0, a), (13.0, b), (20.0, c)]
         got = index._select_neighbors(np.array([[10.0, 13.0, 20.0]]),
-                                      np.array([[a, b, c]]), 2,
-                                      keep_pruned=False)
+                                      np.array([[a, b, c]]), 2)
         assert got == [[a, b]]
-        assert reference_select(index, pairs, 2, False)[0] == [a, b]
+        assert reference_select(index, pairs, 2)[0] == [a, b]
 
     def test_candidates_are_nearest_members_by_distance_then_slot(self, rng):
         data = unit_rows(rng, 200, 8)

@@ -247,6 +247,38 @@ class TestMalformedPayload:
         with pytest.raises(SnapshotCorruptError, match="does not match"):
             load_index(path)
 
+    @pytest.mark.parametrize("how", ["past-the-slots", "negative",
+                                     "below-its-layer"])
+    def test_hnsw_link_that_does_not_match_the_graph(self, tmp_path, how):
+        path = tmp_path / "g.snap"
+        snapshot_v1.build("hnsw").save(path)
+
+        def edit(payload):
+            links = payload["graph"][payload["entry"]]
+            if how == "below-its-layer":   # a layer-1 link to a level-0 slot
+                links[1][0] = payload["levels"].index(0)
+            else:
+                links[0][0] = 10 ** 6 if how == "past-the-slots" else -3
+
+        rewrite_payload(path, edit)
+        with pytest.raises(SnapshotCorruptError, match="a link does not match"):
+            load_index(path)
+
+    @pytest.mark.parametrize("where", ["link", "rng_state"])
+    def test_hnsw_integer_past_int64(self, tmp_path, where):
+        path = tmp_path / "i.snap"
+        snapshot_v1.build("hnsw").save(path)
+
+        def edit(payload):
+            if where == "link":
+                payload["graph"][0][0][0] = 2 ** 63
+            else:
+                payload["rng_state"]["state"]["state"] = 2 ** 300
+
+        rewrite_payload(path, edit)
+        with pytest.raises(SnapshotCorruptError, match="OverflowError"):
+            load_index(path)
+
     def test_hnsw_level_past_the_tag_dtype(self, tmp_path):
         # the level is refused before it could reach the tag column
         big = int(np.iinfo(HnswIndex()._table.tags.dtype).max) + 1
