@@ -12,6 +12,7 @@ by one reentrant lock per index, which satisfies the reader-writer contract
 from __future__ import annotations
 
 import base64
+import json
 import threading
 from abc import ABC
 from dataclasses import dataclass
@@ -36,6 +37,22 @@ class SearchHit:
 
 _F8 = np.dtype("<f8")
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+# A pool _scan gathers (under an eighth of the rows) of at most this many
+# rows skips the gemv screen: its fixed cost (norm gather, partition, bound)
+# outweighs the kernel work it saves. 10k x 64 flat, k 10, timeit best of
+# 5 x 300, screened against kernel-only: 50 rows 50 vs 32 us, 200 rows
+# 61-68 vs 56-61, 250 rows 63-73 vs 62-67, 300 rows 73-74 vs 75, 400 rows
+# 80 vs 93, 600 rows 97 vs 131.
+_SCREEN_ROWS = 256
+
+
+# json.dumps(obj, separators=(",", ":")), without a new encoder per call
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class RawJson(list):
+    """A snapshot payload value that is already JSON: its bytes pieces, in
+    order, which save_index writes as they are."""
 
 
 def pack_array(arr: np.ndarray) -> dict:
@@ -66,7 +83,11 @@ class SlotTable:
     The metadata is also kept as columns for filtered search. They are
     encoded lazily: columns() encodes the slots appended, moved into or
     rewritten since its last call, and only those (encodings counts every
-    slot it has encoded). The squared norms are lazy too: set below _normed."""
+    slot it has encoded). So is what a snapshot writes of the slots: each
+    document's JSON fragment, which fragments() encodes (fragment_encodings
+    counts them), and the base64 of each block of three rows, which
+    rows_json() encodes. The squared norms are lazy too: set below
+    _normed."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
@@ -77,11 +98,14 @@ class SlotTable:
         self.ids: list[str] = []
         self.texts: list[str | None] = []
         self.metas: list[Mapping[str, MetaValue] | None] = []
+        self._fragments: list[bytes | None] = []  # None: not encoded yet
+        self._base64: list[bytes | None] = []     # per block of 3 rows
         self.slot_of: dict[str, int] = {}
         self._columns = MetaColumns()
         self._encoded = 0              # slots below it are encoded ...
         self._stale: set[int] = set()  # ... but for these
         self.encodings = 0
+        self.fragment_encodings = 0
 
     @property
     def rows(self) -> np.ndarray:
@@ -118,6 +142,7 @@ class SlotTable:
         self.ids.append(doc_id)
         self.texts.append(text)
         self.metas.append(meta)
+        self._fragments.append(None)
         self.slot_of[doc_id] = slot
         return slot
 
@@ -129,15 +154,17 @@ class SlotTable:
         if slot != last:
             self._data[slot] = self._data[last]
             self._tags[slot] = self._tags[last]
+            self._unencode(slot)
             if slot < self._normed:  # the moved row may have had none
                 self._norms[slot] = self._data[slot] @ self._data[slot]
-            for column in (self.ids, self.texts, self.metas):
+            for column in (self.ids, self.texts, self.metas, self._fragments):
                 column[slot] = column[last]
             self.slot_of[self.ids[slot]] = slot
             if slot < self._encoded:
                 self._stale.add(slot)
-        for column in (self.ids, self.texts, self.metas):
+        for column in (self.ids, self.texts, self.metas, self._fragments):
             column.pop()
+        self._unencode(last)
         self.count = last
         self._encoded = min(self._encoded, last)
         self._normed = min(self._normed, last)
@@ -147,8 +174,48 @@ class SlotTable:
         """Rewrite a slot's text and metadata in place (None: dead)."""
         self.texts[slot] = text
         self.metas[slot] = meta
+        self._fragments[slot] = None
         if slot < self._encoded:
             self._stale.add(slot)
+
+    def fragments(self) -> list[bytes | None]:
+        """Each slot's document as JSON without its closing brace,
+        {"id":...,"text":...,"meta":{...}, so a kind can add fields; None
+        for a dead slot. Those of the live slots appended, moved into or
+        rewritten since the last call are encoded now, and only those."""
+        frags, ids, texts, metas = (self._fragments, self.ids, self.texts,
+                                    self.metas)
+        todo = [s for s, frag in enumerate(frags)
+                if frag is None and metas[s] is not None]
+        for s in todo:
+            frags[s] = ('{"id":%s,"text":%s,"meta":%s' % (
+                encode_json(ids[s]), encode_json(texts[s]),
+                encode_json(dict(metas[s])))).encode()
+        self.fragment_encodings += len(todo)
+        return frags
+
+    def _unencode(self, slot: int) -> None:
+        """Drop the cached base64 of the block of rows holding slot."""
+        if slot // 3 < len(self._base64):
+            self._base64[slot // 3] = None
+
+    def rows_json(self) -> RawJson:
+        """pack_array(rows) as JSON. A full block of three rows is 24 * dim
+        bytes, whole base64 quanta, so the blocks' base64 joins into the
+        rows'. Full blocks keep theirs, and only those written since the
+        last call (swap_remove drops them) are encoded now; an append only
+        fills the partial last block, which is never kept. Base64's
+        alphabet needs no JSON escaping."""
+        blocks, rows = self._base64, np.ascontiguousarray(self.rows, _F8)
+        n = self.count // 3
+        del blocks[n:]
+        blocks += [None] * (n - len(blocks))
+        for b, block in enumerate(blocks):
+            if block is None:
+                blocks[b] = base64.b64encode(rows[3 * b:3 * b + 3])
+        return RawJson([b'{"shape":%s,"data":"' % encode_json(
+            rows.shape).encode(), b"".join(blocks),
+            base64.b64encode(rows[3 * n:]), b'"}'])
 
     def columns(self) -> MetaColumns:
         """The metadata columns of the slots, brought up to date. They are
@@ -254,16 +321,17 @@ class VectorIndex(ABC):
         """Write a versioned snapshot; load_index() restores it verbatim."""
         from .snapshot import save_index
 
-        with self._lock:
-            save_index(self, path)
+        save_index(self, path)
 
     def _state(self) -> dict[str, Any]:
-        """The snapshot payload: here the documents in slot order and their
-        rows; kinds with more state add to it or replace it."""
+        """The snapshot payload, a JSON object whose RawJson values are
+        already encoded: here the documents in slot order and their rows;
+        kinds with more state add to it or replace it."""
         t = self._table
-        return {"docs": [{"id": i, "text": text, "meta": dict(meta)} for
-                         i, text, meta in zip(t.ids, t.texts, t.metas)],
-                "vectors": pack_array(t.rows)}
+        frags = t.fragments()
+        return {"docs": RawJson([b"[", b"},".join(frags), b"}]"] if frags
+                                else [b"[]"]),
+                "vectors": t.rows_json()}
 
     @classmethod
     def _from_state(cls, state: dict[str, Any]) -> "VectorIndex":
@@ -310,14 +378,15 @@ class VectorIndex(ABC):
         plus every tie with the nth: the (distance, doc_id) sort of the hits
         settles the boundary. slots is any numpy index into the rows. A pool
         of over n rows is screened first: one gemv gives d2 = |x|^2 - 2 x.q +
-        |q|^2, and only rows within rounding of the nth are ranked exactly."""
+        |q|^2, and only rows within rounding of the nth are ranked exactly.
+        A small gathered pool is not screened (see _SCREEN_ROWS)."""
         t = self._table
         picked = np.arange(t.count)[slots]
-        if n < picked.shape[0]:
+        # past an eighth of the rows, one gemv over all beats a gather
+        whole = 8 * picked.shape[0] > t.count
+        if n < picked.shape[0] and (whole or picked.shape[0] > _SCREEN_ROWS):
             with np.errstate(all="ignore"):  # overflow: rank the whole pool
-                # past an eighth of the rows, one gemv over all beats a gather
-                xq = (t.rows @ q)[slots] if 8 * picked.shape[0] > t.count \
-                    else t.rows[slots] @ q
+                xq = (t.rows @ q)[slots] if whole else t.rows[slots] @ q
                 norms, qq = t.norms[slots], q @ q
                 d2 = norms - 2.0 * xq + qq
                 kth = np.partition(d2, n - 1)[n - 1]

@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ..core import Document, _validate_metadata
-from .base import VectorIndex, pack_array, unpack_array
+from .base import RawJson, VectorIndex, unpack_array
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,7 @@ class HnswIndex(VectorIndex):
         with the RNG state, so a reloaded index builds on exactly as the
         original would. Live ids keep their first-insert order."""
         table = self._table
+        frags = table.fragments()
         return {"params": asdict(self.params),
                 "entry": self._entry,
                 "max_level": self._max_level,
@@ -306,10 +307,10 @@ class HnswIndex(VectorIndex):
                 "ids": table.ids,
                 "graph": self._graph,
                 "rng_state": self._rng.bit_generator.state,
-                "vectors": pack_array(table.rows),
-                "docs": [{"id": doc_id, "text": table.texts[slot],
-                          "meta": dict(table.metas[slot]), "slot": slot}
-                         for doc_id, slot in table.slot_of.items()]}
+                "vectors": table.rows_json(),
+                "docs": RawJson([b"[", b",".join(
+                    [frags[slot] + b',"slot":%d}' % slot
+                     for slot in table.slot_of.values()]), b"]"])}
 
     @classmethod
     def _from_state(cls, state: dict) -> "HnswIndex":

@@ -6,10 +6,14 @@ payload, and a CRC32 (u32) of everything before it. Vector data rides inside
 the JSON as base64-encoded little-endian float64, so a snapshot restores the
 exact float values that were saved.
 
-This module holds only that framing and the kind <-> class table. The
-payload is each kind's own: its `_state()` method writes it and its
-`_from_state()` classmethod rebuilds the index from it. Flat uses the
-default in base.py, the documents in slot order plus their rows, rebuilt by
+This module holds only that framing, the kind <-> class table, and the
+`contextdb.snapshot` DEBUG log of each save and load. The payload is each
+kind's own: its `_state()` method writes it and its `_from_state()`
+classmethod rebuilds the index from it. Its large parts come already
+encoded (RawJson) from the slot table's caches, its per-document JSON
+fragments and the base64 of its rows, so a save encodes only what changed
+since the last one, and it is written as pieces. Flat uses the default in
+base.py, the documents in slot order plus their rows, rebuilt by
 re-inserting. IVF (ivf.py) adds its params and fitted centroids; assignment
 is deterministic, so re-inserting rebuilds its lists. HNSW (hnsw.py) keeps
 its graph verbatim -- including tombstoned slots, which still route -- with
@@ -20,15 +24,18 @@ SnapshotCorruptError.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
 import os
 import struct
+import time
 import zlib
 from pathlib import Path
 
 from ..errors import (ContextDbError, SnapshotCorruptError,
                       SnapshotVersionError, StorageError)
-from .base import VectorIndex
+from .base import RawJson, VectorIndex, encode_json
 from .flat import FlatIndex
 from .hnsw import HnswIndex
 from .ivf import IvfIndex
@@ -41,22 +48,64 @@ _CRC = struct.Struct("<I")
 _KINDS: tuple[type[VectorIndex], ...] = (FlatIndex, HnswIndex, IvfIndex)
 _CODE_OF = {cls.kind: code for code, cls in enumerate(_KINDS)}
 
+logger = logging.getLogger("contextdb.snapshot")
+
+
+def _payload(state: dict) -> list[bytes]:
+    """json.dumps(state, separators=(",", ":")) as bytes pieces, with each
+    RawJson value's pieces as they are."""
+    pieces = []
+    for key, value in state.items():
+        pieces.append(b"%s%s:" % (b"," if pieces else b"{",
+                                  encode_json(key).encode()))
+        if isinstance(value, RawJson):
+            pieces += value
+        else:
+            pieces.append(encode_json(value).encode())
+    pieces.append(b"}" if pieces else b"{}")
+    return pieces
+
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Serialize to path atomically (write temp file, then rename over)."""
+    """Serialize to path atomically: write a temp file, fsync it, then
+    rename it over path, so a crash leaves the old file or the new one
+    whole. A failed save removes the temp file and leaves path as it was.
+    Holds the index's lock throughout: _state() fills the slot table's
+    caches."""
     path = Path(path)
-    payload = json.dumps(index._state(),
-                         separators=(",", ":")).encode("utf-8")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, index.dim or 0,
-                          _CODE_OF[index.kind], len(index), len(payload))
-    blob = header + payload
-    blob += _CRC.pack(zlib.crc32(blob))
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
+    debug = logger.isEnabledFor(logging.DEBUG)
+    with index._lock:
+        if debug:
+            start = time.perf_counter()
+            encoded = index._table.fragment_encodings
+        pieces = _payload(index._state())
+        size = sum(map(len, pieces))
+        pieces.insert(0, _HEADER.pack(MAGIC, FORMAT_VERSION, index.dim or 0,
+                                      _CODE_OF[index.kind], len(index), size))
+        crc = 0
+        for piece in pieces:
+            crc = zlib.crc32(piece, crc)
+        pieces.append(_CRC.pack(crc))
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.writelines(pieces)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise StorageError(
+                f"cannot write snapshot {path}: {exc}") from exc
+    if debug:
+        logger.debug(
+            "saved %(path)s: %(kind)s, %(documents)d documents, %(bytes)d "
+            "bytes, %(fragments)d fragments encoded, %(ms).1f ms",
+            {"path": str(path), "kind": index.kind, "documents": len(index),
+             "bytes": _HEADER.size + size + _CRC.size,
+             "fragments": index._table.fragment_encodings - encoded,
+             "ms": (time.perf_counter() - start) * 1e3})
 
 
 def _parse_header(path: str | Path, raw: bytes) -> tuple:
@@ -87,6 +136,7 @@ def read_header(path: str | Path) -> dict:
 
 def load_index(path: str | Path) -> VectorIndex:
     """Restore an index snapshot; dispatches on the kind recorded inside."""
+    start = time.perf_counter()
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -112,4 +162,10 @@ def load_index(path: str | Path) -> VectorIndex:
     if len(index) != count:
         raise SnapshotCorruptError(
             f"{path}: header says {count} documents, payload has {len(index)}")
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "loaded %(path)s: %(kind)s, %(documents)d documents, %(bytes)d "
+            "bytes, %(ms).1f ms",
+            {"path": str(path), "kind": kind.kind, "documents": count,
+             "bytes": len(blob), "ms": (time.perf_counter() - start) * 1e3})
     return index

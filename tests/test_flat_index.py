@@ -7,6 +7,7 @@ import pytest
 from contextdb import (DimensionMismatchError, Document, EmptyIndexError,
                        FilterTypeMismatchError, FlatIndex, HnswIndex, IvfIndex,
                        IvfParams, Vector, parse_filter)
+from contextdb.index.base import _SCREEN_ROWS
 from conftest import brute_force_knn, make_docs, unit_rows
 
 
@@ -206,3 +207,21 @@ class TestSearchFiltered:
                               embedding=Vector(-5.0 * data[0])))
         with pytest.raises(FilterTypeMismatchError):
             index.search_filtered(Vector(data[0]), 5, parse_filter("price<50"))
+
+
+@pytest.mark.parametrize("size", [_SCREEN_ROWS, _SCREEN_ROWS + 1])
+def test_only_a_gathered_pool_past_the_crossover_is_screened(rng, size):
+    """A gathered pool of _SCREEN_ROWS rows goes straight to the difference
+    kernel, which reads no norm; one row more is screened first. Both give
+    the kernel's hits over the whole pool, bit for bit."""
+    rows = unit_rows(rng, 8 * (_SCREEN_ROWS + 1), 8)  # both pools gathered
+    index = FlatIndex()
+    for doc in make_docs(rows):
+        index.insert(doc)
+    pool = np.sort(rng.choice(len(rows), size, replace=False))
+    q = unit_rows(rng, 1, 8)[0]
+    diff = rows[pool] - q
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    want = sorted(zip(dists.tolist(), [f"d{s:05d}" for s in pool.tolist()]))
+    assert sorted(index._scan(q, 10, pool))[:10] == want[:10]
+    assert index._table._normed == (0 if size == _SCREEN_ROWS else len(rows))

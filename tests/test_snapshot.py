@@ -1,4 +1,7 @@
+import errno
 import json
+import logging
+import os
 import struct
 
 import numpy as np
@@ -8,7 +11,8 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        IvfParams, SnapshotCorruptError, SnapshotVersionError,
                        StorageError, Vector, load_index, read_header,
                        save_index)
-from contextdb.index.base import pack_array, unpack_array
+from contextdb.index import snapshot
+from contextdb.index.base import SlotTable, pack_array, unpack_array
 from conftest import HEADER, make_docs, rewrite_payload, unit_rows
 from snapshot_v1 import make as snapshot_v1
 
@@ -93,6 +97,78 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path, rng):
     indexes["flat"].save(path)
     assert path.exists()
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_save_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
+    index, path = small_flat(), tmp_path / "s.snap"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    index.save(path)
+    assert [event for event, _ in events] == ["fsync", "replace"]
+    assert events[0][1] == events[1][1]  # the renamed file is the synced one
+    assert len(load_index(path)) == len(index)
+
+
+class HalfWriter:
+    """An open file that gets half of what it is given out, then fails as a
+    full disk would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def writelines(self, pieces):
+        data = b"".join(pieces)
+        self.inner.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.inner.close()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("fail", ["write", "fsync"])
+def test_a_failed_save_leaves_the_old_snapshot_and_no_temp_file(
+        tmp_path, monkeypatch, fail):
+    index, path = small_flat(), tmp_path / "s.snap"
+    index.save(path)
+    before = path.read_bytes()
+    index.insert(Document(id="late", text="", metadata={},
+                          embedding=Vector([0.5, 0.5])))
+    if fail == "write":
+        monkeypatch.setattr(snapshot, "open", lambda *a, **kw:
+                            HalfWriter(open(*a, **kw)), raising=False)
+    else:
+        def fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+        monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(StorageError, match="cannot write snapshot"):
+        index.save(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.snap"]
+    assert path.read_bytes() == before
+
+
+def small_flat() -> FlatIndex:
+    index = FlatIndex()
+    for i in range(10):
+        index.insert(Document(id=f"d{i}", text=f"t{i}", metadata={"n": i},
+                              embedding=Vector([float(i), 1.0])))
+    return index
 
 
 def test_save_overwrites_previous_snapshot(tmp_path):
@@ -315,3 +391,152 @@ def test_hnsw_document_outside_its_live_slot_is_corrupt(tmp_path, where):
     rewrite_payload(path, edit)
     with pytest.raises(SnapshotCorruptError, match="not live in slot"):
         load_index(path)
+
+
+# -- saves from cached fragments ---------------------------------------------
+
+ODD_STRINGS = ['quo"te', "back\\slash\\", "line\u2028sep\u2029",
+               "ctl\x00\x1f\x7f", "na\u00efve \u2603 \U0001d11e",
+               "tab\tnew\nline\r", "", "</script>"]
+ODD_VALUES = [-0.0, 1e300, 5e-324, 2 ** 70, -(10 ** 30), True, False, 0,
+              1.5, "caf\u00e9 \"\\"]
+
+
+def odd_document(rng, doc_id: str, dim: int) -> Document:
+    values = rng.choice(len(ODD_VALUES), 3)
+    strings = rng.choice(len(ODD_STRINGS), 2)
+    return Document(
+        id=doc_id, text=ODD_STRINGS[strings[0]] + doc_id,
+        metadata={"k\u00e9y": ODD_VALUES[values[0]],
+                  "q\"uote": ODD_VALUES[values[1]],
+                  "s": ODD_STRINGS[strings[1]],
+                  "b\\s": ODD_VALUES[values[2]]},
+        embedding=Vector(rng.standard_normal(dim)))
+
+
+def odd_id(i: int) -> str:
+    return f"{ODD_STRINGS[i % len(ODD_STRINGS)]}#{i}"
+
+
+def new_index(kind: str, rng, dim: int):
+    if kind == "flat":
+        return FlatIndex()
+    if kind == "hnsw":
+        return HnswIndex(HnswParams(m=4, ef_construction=16, seed=5))
+    index = IvfIndex(IvfParams(nlist=6, nprobe=6, seed=5))
+    index.train(rng.standard_normal((40, dim)))
+    return index
+
+
+def hits(index, queries):
+    return [[(h.doc_id, h.distance, h.rank)
+             for h in index.search(Vector(q), 7)] for q in queries]
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf", "hnsw"])
+def test_saves_under_churn_match_the_json_encoder(tmp_path, rng, kind):
+    """A seeded mix of inserts, replaces and removes, saved after each
+    batch: every payload is what json.dumps writes for its own parse, and
+    it loads hit for hit. hnsw saves its tombstones too."""
+    dim, path = 6, tmp_path / f"{kind}.snap"
+    index, live, made = new_index(kind, rng, dim), [], 0
+    queries = rng.standard_normal((5, dim))
+    for batch in range(9):
+        # every third batch only removes, so it shrinks the block of rows
+        # the last save encoded and appends nothing to it
+        removes_only = batch % 3 == 2
+        for _ in range(5 if removes_only else 25):
+            op = 1.0 if removes_only else rng.random()
+            if op < 0.5 or len(live) < 4:
+                live.append(odd_id(made))
+                index.insert(odd_document(rng, live[-1], dim))
+                made += 1
+            elif op < 0.8:
+                doc_id = live[int(rng.integers(len(live)))]
+                index.insert(odd_document(rng, doc_id, dim))
+            else:
+                assert index.remove(live.pop(int(rng.integers(len(live)))))
+        index.save(path)
+        payload = path.read_bytes()[HEADER.size:-4]
+        assert payload == json.dumps(json.loads(payload),
+                                     separators=(",", ":")).encode("utf-8")
+        restored = load_index(path)
+        assert hits(restored, queries) == hits(index, queries)
+        for doc_id in live:
+            assert restored.get(doc_id) == index.get(doc_id)
+        if kind == "hnsw":
+            assert not all(json.loads(payload)["alive"])
+        else:
+            assert len(index._table.ids) == len(live)
+
+
+def test_set_doc_rewrites_the_slots_fragment():
+    table = SlotTable()
+    table.append("a", np.zeros(2), "old", {"n": 1})
+    assert table.fragments() == [b'{"id":"a","text":"old","meta":{"n":1}']
+    table.set_doc(0, "new", {"n": 2.5})
+    assert table.fragments() == [b'{"id":"a","text":"new","meta":{"n":2.5}']
+    table.set_doc(0, None, None)
+    assert table.fragments() == [None]
+    assert table.fragment_encodings == 2
+
+
+def test_rows_json_follows_every_row_write(rng):
+    """The cached base64 of full blocks of three rows, through removes that
+    move a row into another block or shrink the last one, and appends."""
+    table = SlotTable()
+
+    def check():
+        assert b"".join(table.rows_json()) == json.dumps(
+            pack_array(table.rows), separators=(",", ":")).encode()
+
+    for i in range(9):
+        table.append(f"r{i}", rng.standard_normal(4))
+    check()
+    table.swap_remove("r1")            # r8 moves into block 0, and
+    table.append("r9", rng.standard_normal(4))  # block 2 gets a new row 8
+    check()
+    table.swap_remove("r8")            # r9 moves into block 0
+    check()
+    table.swap_remove("r7")            # the last row itself
+    table.append("r10", rng.standard_normal(4))
+    check()
+
+
+def saved_fragments(caplog) -> list[int]:
+    return [r.args["fragments"] for r in caplog.records
+            if r.name == "contextdb.snapshot" and r.msg.startswith("saved")]
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_a_save_encodes_only_the_documents_changed_since_the_last(
+        tmp_path, rng, caplog, kind):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    dim, path = 6, tmp_path / "s.snap"
+    index = new_index(kind, rng, dim)
+    for i in range(60):
+        index.insert(odd_document(rng, f"d{i:02d}", dim))
+    index.save(path)
+    index.save(path)
+    for i in (3, 10, 59):       # replaces, the last slot's among them
+        index.insert(odd_document(rng, f"d{i:02d}", dim))
+    for i in (0, 30):           # each moves the last slot's document
+        index.remove(f"d{i:02d}")
+    index.save(path)
+    loaded = load_index(path)
+    loaded.save(path)
+    assert saved_fragments(caplog) == [60, 0, 3, 58]
+    save, load = [r.args for r in caplog.records if r.msg.startswith(
+        ("saved", "loaded"))][-2:][::-1]
+    for record in (load, save):
+        assert record["path"] == str(path)
+        assert (record["kind"], record["documents"]) == (kind, 58)
+        assert record["bytes"] == path.stat().st_size
+        assert record["ms"] >= 0
+
+
+def test_a_save_logs_nothing_below_debug(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="contextdb.snapshot")
+    small_flat().save(tmp_path / "s.snap")
+    load_index(tmp_path / "s.snap")
+    assert [r for r in caplog.records if r.name == "contextdb.snapshot"] == []
