@@ -101,14 +101,19 @@ def euclidean_distance(a: Vector, b: Vector) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
+_META_TYPES = frozenset((bool, int, float, str))
+
+
 def _validate_metadata(metadata: Mapping[str, MetaValue]) -> dict[str, MetaValue]:
     out: dict[str, MetaValue] = {}
     for key, value in metadata.items():
         if not isinstance(key, str) or not key:
             raise ValueError(f"metadata keys must be nonempty strings, got {key!r}")
-        if any(ch.isspace() for ch in key):
+        # split() cuts at exactly the characters isspace() accepts
+        if key.split() != [key]:
             raise ValueError(f"metadata key {key!r} contains whitespace")
-        meta_kind(value)  # raises TypeError on unsupported types
+        if type(value) not in _META_TYPES:
+            meta_kind(value)  # a subclass passes; others raise TypeError
         out[key] = value
     return out
 
@@ -125,6 +130,8 @@ class Document:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("document id must be a nonempty string")
+        if not isinstance(self.text, str):
+            raise TypeError("document text must be a string")
         if not isinstance(self.embedding, Vector):
             raise TypeError("document embedding must be a Vector")
         object.__setattr__(self, "metadata", MappingProxyType(_validate_metadata(self.metadata)))

@@ -17,11 +17,12 @@ import threading
 from abc import ABC
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import Document, MetaValue, Vector
+from ..core import Document, MetaValue, Vector, _validate_metadata
 from ..errors import DimensionMismatchError, EmptyIndexError
 from ..filters import FilterExpr, MetaColumns
 
@@ -37,13 +38,27 @@ class SearchHit:
 
 _F8 = np.dtype("<f8")
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-# A pool _scan gathers (under an eighth of the rows) of at most this many
-# rows skips the gemv screen: its fixed cost (norm gather, partition, bound)
-# outweighs the kernel work it saves. 10k x 64 flat, k 10, timeit best of
-# 5 x 300, screened against kernel-only: 50 rows 50 vs 32 us, 200 rows
-# 61-68 vs 56-61, 250 rows 63-73 vs 62-67, 300 rows 73-74 vs 75, 400 rows
-# 80 vs 93, 600 rows 97 vs 131.
+# A pool of at most this many rows skips _scan's gemv screen: its fixed
+# cost (norm read, partition, bound) outweighs the kernel work it saves.
+# 10k x 64 flat, k 10, timeit best of 5 x 300, screened against
+# kernel-only: a gathered pool of 50 rows 50 vs 32 us, 200 rows 61-68 vs
+# 56-61, 250 rows 63-73 vs 62-67, 300 rows 73-74 vs 75, 400 rows 80 vs 93,
+# 600 rows 97 vs 131; a whole table of 20, 50 and 100 rows 43, 38 and 37
+# vs 21, 18 and 28 us.
 _SCREEN_ROWS = 256
+
+
+def screen_bound(dim: int, rows_max2, qq):
+    """How far past the nth smallest screened d2 = |x|^2 - 2 x.q + |q|^2
+    any row that the difference kernel ranks up to the nth may screen, for
+    rows of squared norms up to rows_max2 and a query of squared norm qq
+    (an array of queries gives an array of bounds). Screen and kernel each
+    err <= (dim + 2) u S in d2 (u = eps / 2, S = (max |x| + |q|)^2 >= d2),
+    and a d2 4u S past the nth's can tie its sqrt: such a row screens <=
+    kth + (2 dim + 6) eps S to first order; 2 dim + 8 covers the higher
+    orders, tiny the underflow. Not finite when S overflows."""
+    return _TINY + (2 * dim + 8) * _EPS * (np.sqrt(rows_max2)
+                                           + np.sqrt(qq)) ** 2
 
 
 # json.dumps(obj, separators=(",", ":")), without a new encoder per call
@@ -124,6 +139,44 @@ class SlotTable:
             new[:, None], new[:, :, None])[:, 0, 0]
         self._normed = self.count
         return self._norms[:self.count]
+
+    def extend(self, ids: list, rows: np.ndarray, texts: list, metas: list,
+               tags: np.ndarray, live: list[int] | None = None) -> None:
+        """Fill this empty table with n slots in one step, after checking
+        them all, so a bad one raises ValueError or TypeError (or a
+        metadata map AttributeError) before any lands. rows is a finite
+        (n, dim) float64 array, which the table keeps without a copy; each
+        id a nonempty str; tags n ints. live lists the slots that hold a
+        document, in the order slot_of takes them (None: every slot, in
+        order); their ids must differ, each text be a str and each metadata
+        map pass _validate_metadata, and it is stored read-only. The other
+        slots are dead (hnsw's tombstones): text and metadata None, and no
+        slot_of entry. The norms, metadata columns and fragments are left
+        to fill lazily, as for an append."""
+        assert not self.count, "extend fills an empty table"
+        n = len(ids)
+        if rows.ndim != 2 or rows.shape[0] != n or (n and not rows.shape[1]):
+            raise ValueError("documents and vectors differ in number")
+        if not np.isfinite(rows).all():
+            raise ValueError("vector coordinates must be finite")
+        if not all(isinstance(doc_id, str) and doc_id for doc_id in ids):
+            raise ValueError("document ids must be nonempty strings")
+        live = range(n) if live is None else live
+        slot_of = dict(zip([ids[s] for s in live], live))
+        if len(slot_of) != len(live):
+            raise ValueError("duplicate document id")
+        if not all(isinstance(texts[s], str) for s in live):
+            raise TypeError("document text must be a string")
+        frozen: list[Mapping[str, MetaValue] | None] = [None] * n
+        for s in live:
+            frozen[s] = MappingProxyType(_validate_metadata(metas[s]))
+        self._data = np.require(rows, np.float64, "CWO")
+        self._norms = np.zeros(n)
+        self._tags = np.array(tags, dtype=np.int64)
+        self.count = n
+        self.ids, self.texts, self.metas = list(ids), list(texts), frozen
+        self._fragments = [None] * n
+        self.slot_of = slot_of
 
     def append(self, doc_id: str, values: np.ndarray, text: str | None = None,
                meta: Mapping[str, MetaValue] | None = None,
@@ -342,13 +395,16 @@ class VectorIndex(ABC):
         return index
 
     def _insert_docs(self, state: dict[str, Any]) -> None:
-        # re-inserting in slot order rebuilds the same slots
-        rows = unpack_array(state["vectors"])
-        if len(state["docs"]) != rows.shape[0]:
-            raise ValueError("documents and vectors differ in number")
-        for entry, row in zip(state["docs"], rows):
-            self.insert(Document(entry["id"], entry["text"], entry["meta"],
-                                 Vector(row)))
+        """Fill the empty slot table with the payload's documents and rows,
+        in slot order, in one step (SlotTable.extend). The rows' width sets
+        the dimension even when there are no rows, as in the saved index."""
+        docs, rows = state["docs"], unpack_array(state["vectors"])
+        ids = [doc["id"] for doc in docs]
+        if rows.shape[-1]:
+            self._check_insert_dim(rows.shape[-1])
+        self._table.extend(ids, rows, [doc["text"] for doc in docs],
+                           [doc["meta"] for doc in docs],
+                           np.zeros(len(ids), dtype=np.int64))
 
     # -- hooks for subclasses -----------------------------------------------
 
@@ -379,24 +435,18 @@ class VectorIndex(ABC):
         settles the boundary. slots is any numpy index into the rows. A pool
         of over n rows is screened first: one gemv gives d2 = |x|^2 - 2 x.q +
         |q|^2, and only rows within rounding of the nth are ranked exactly.
-        A small gathered pool is not screened (see _SCREEN_ROWS)."""
+        A pool of at most _SCREEN_ROWS rows is not screened."""
         t = self._table
         picked = np.arange(t.count)[slots]
-        # past an eighth of the rows, one gemv over all beats a gather
-        whole = 8 * picked.shape[0] > t.count
-        if n < picked.shape[0] and (whole or picked.shape[0] > _SCREEN_ROWS):
+        if n < picked.shape[0] and picked.shape[0] > _SCREEN_ROWS:
+            # past an eighth of the rows, one gemv over all beats a gather
+            whole = 8 * picked.shape[0] > t.count
             with np.errstate(all="ignore"):  # overflow: rank the whole pool
                 xq = (t.rows @ q)[slots] if whole else t.rows[slots] @ q
                 norms, qq = t.norms[slots], q @ q
                 d2 = norms - 2.0 * xq + qq
                 kth = np.partition(d2, n - 1)[n - 1]
-                # Screen and kernel each err <= (dim + 2) u S in d2 (u = eps
-                # / 2, S = (max |x| + |q|)^2 >= d2), and a d2 4u S past the
-                # nth's can tie its sqrt: a row the kernel ranks up to the nth
-                # screens <= kth + (2 dim + 6) eps S to first order; 2 dim + 8
-                # covers the higher orders, tiny the underflow.
-                limit = kth + _TINY + (2 * q.shape[0] + 8) * _EPS * (
-                    np.sqrt(norms.max()) + np.sqrt(qq)) ** 2
+                limit = kth + screen_bound(q.shape[0], norms.max(), qq)
             if np.isfinite(limit) and np.isfinite(d2).all():
                 slots = picked = picked[d2 <= limit]
         diff = t.rows[slots] - q

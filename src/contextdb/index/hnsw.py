@@ -30,12 +30,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
-from types import MappingProxyType
+from itertools import chain, islice
 
 import numpy as np
 
-from ..core import Document, _validate_metadata
+from ..core import Document
 from .base import RawJson, VectorIndex, unpack_array
 
 
@@ -318,45 +317,46 @@ class HnswIndex(VectorIndex):
         index = cls(HnswParams(m=p["m"], ef_construction=p["ef_construction"],
                                ef_search=p["ef_search"], seed=p["seed"]))
         rows = unpack_array(state["vectors"])
-        if not np.isfinite(rows).all():
-            raise ValueError("vector coordinates must be finite")
-        ids, live, levels = state["ids"], state["alive"], state["levels"]
-        index._graph = [[[int(nb) for nb in layer] for layer in node]
-                        for node in state["graph"]]
-        index._entry = None if state["entry"] is None else int(state["entry"])
-        index._max_level = int(state["max_level"])
+        ids, alive, levels = state["ids"], state["alive"], state["levels"]
+        # every link int()-ed once, in one pass, then cut back into lists
+        raw = state["graph"]
+        links = np.fromiter(chain.from_iterable(chain.from_iterable(raw)),
+                            dtype=np.int64)
+        ints = iter(links.tolist())
+        index._graph = graph = [[list(islice(ints, len(nbs))) for nbs in node]
+                                for node in raw]
+        index._entry = entry = None if state["entry"] is None \
+            else int(state["entry"])
+        index._max_level = max_level = int(state["max_level"])
         index._rng.bit_generator.state = state["rng_state"]
         n = len(ids)
-        if {len(rows), len(live), len(levels), len(index._graph)} != {n}:
+        if {len(rows), len(alive), len(levels), len(graph)} != {n}:
             raise ValueError("graph and slot table differ in size")
-        table = index._table
-        for slot, doc_id in enumerate(ids):
-            level = int(levels[slot])  # layers bound it: it fits the tag
-            if not 0 <= level <= index._max_level or \
-                    len(index._graph[slot]) != level + 1:
-                raise ValueError(f"level {level} of slot {slot} does not "
-                                 "match the graph")
-            table.append(doc_id, rows[slot], tag=level)
-        table.slot_of.clear()  # refilled below with the live documents
-        if n:
-            index._dim = rows.shape[1]
+        # a slot's level is its top layer, which layers bound: it fits the tag
+        tops = [len(node) - 1 for node in graph]
+        if levels != tops or (n and (min(tops) < 0 or max(tops) > max_level)):
+            slot = next(s for s, (level, top) in enumerate(zip(levels, tops))
+                        if level != top or not 0 <= top <= max_level)
+            raise ValueError(f"level {levels[slot]} of slot {slot} does not "
+                             "match the graph")
+        tags = np.array(tops, dtype=np.int64)
         # a link in layer L must reach a slot whose level is L or more
-        graph = index._graph
-        links = np.fromiter(chain.from_iterable(chain.from_iterable(graph)),
-                            dtype=np.int64)
         layers = np.repeat([lv for node in graph for lv in range(len(node))],
                            [len(nbs) for node in graph for nbs in node])
         if links.size and (links.min() < 0 or links.max() >= n or
-                           (table.tags[links] < layers).any()):
+                           (tags[links] < layers).any()):
             raise ValueError("a link does not match the graph")
-        if (index._entry is None) != (n == 0) or \
-                (n and table.tags[index._entry] != index._max_level):
+        if (entry is None) != (n == 0) or \
+                (n and not (0 <= entry < n and tags[entry] == max_level)):
             raise ValueError("entry point does not match the graph")
-        for entry in state["docs"]:
-            slot = entry["slot"]
-            if not live[slot] or table.ids[slot] != entry["id"]:
-                raise ValueError(f"{entry['id']!r} is not live in slot {slot}")
-            table.slot_of[entry["id"]] = slot
-            table.set_doc(slot, entry["text"],
-                          MappingProxyType(_validate_metadata(entry["meta"])))
+        texts, metas, live = [None] * n, [None] * n, []
+        for doc in state["docs"]:
+            slot = doc["slot"]
+            if not (0 <= slot < n and alive[slot]) or ids[slot] != doc["id"]:
+                raise ValueError(f"{doc['id']!r} is not live in slot {slot}")
+            texts[slot], metas[slot] = doc["text"], doc["meta"]
+            live.append(slot)
+        index._table.extend(ids, rows, texts, metas, tags, live)
+        if n:
+            index._dim = rows.shape[1]
         return index

@@ -19,7 +19,11 @@ import numpy as np
 
 from ..core import Document, Vector
 from ..errors import NotTrainedError, TrainingDataError
-from .base import VectorIndex, pack_array, unpack_array
+from .base import VectorIndex, pack_array, screen_bound, unpack_array
+
+# The bulk assignment's gemm takes rows in blocks of about this many
+# distances, 2 MB, whatever nlist is.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,44 @@ class IvfIndex(VectorIndex):
             index._insert_docs(state)
         return index
 
+    def _insert_docs(self, state: dict) -> None:
+        super()._insert_docs(state)
+        table = self._table
+        table.tags[:] = self._lists_of(table.rows)
+
+    def _lists_of(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's list, the one _list_of gives it. One gemm per block
+        of rows screens d2 = |x|^2 + |c|^2 - 2 x.c against every centroid.
+        Where the runner-up screens within screen_bound of the best (the
+        centroids as the rows, the row as the query), the kernel may pick
+        either, and where the screen is not finite it tells nothing: those
+        rows are re-checked with _list_of."""
+        c = self._centroids
+        lists = np.zeros(rows.shape[0], dtype=np.int64)
+        if c.shape[0] == 1:
+            return lists
+        cc = np.einsum("ij,ij->i", c, c)
+        step = max(1, _BLOCK_CELLS // c.shape[0])
+        for start in range(0, rows.shape[0], step):
+            x = rows[start:start + step]
+            with np.errstate(all="ignore"):
+                xx = np.einsum("ij,ij->i", x, x)
+                d2 = (xx[:, None] + cc) - 2.0 * (x @ c.T)
+                two = np.partition(d2, 1, axis=1)[:, :2]
+                limit = two[:, 0] + screen_bound(c.shape[1], cc.max(), xx)
+                sure = np.isfinite(d2).all(axis=1) & (two[:, 1] > limit)
+            block = lists[start:start + step]
+            block[:] = d2.argmin(axis=1)
+            for i in np.flatnonzero(~sure).tolist():
+                block[i] = self._list_of(x[i])
+        return lists
+
+    def _list_of(self, values: np.ndarray) -> int:
+        """The list of the centroid nearest to values (the first of a
+        tie), by the difference kernel."""
+        diff = self._centroids - values
+        return int(np.einsum("ij,ij->i", diff, diff).argmin())
+
     # -- VectorIndex hooks --------------------------------------------------
 
     def _check_insert_dim(self, got: int) -> None:
@@ -153,9 +195,8 @@ class IvfIndex(VectorIndex):
 
     def _insert_vector(self, doc: Document) -> None:
         values = doc.embedding.values
-        diff = self._centroids - values
         self._table.append(doc.id, values, doc.text, doc.metadata,
-                           int(np.einsum("ij,ij->i", diff, diff).argmin()))
+                           self._list_of(values))
 
     def _pool(self, q: np.ndarray, *,
               nprobe: int | None = None) -> np.ndarray:

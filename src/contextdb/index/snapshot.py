@@ -12,13 +12,15 @@ kind's own: its `_state()` method writes it and its `_from_state()`
 classmethod rebuilds the index from it. Its large parts come already
 encoded (RawJson) from the slot table's caches, its per-document JSON
 fragments and the base64 of its rows, so a save encodes only what changed
-since the last one, and it is written as pieces. Flat uses the default in
-base.py, the documents in slot order plus their rows, rebuilt by
-re-inserting. IVF (ivf.py) adds its params and fitted centroids; assignment
-is deterministic, so re-inserting rebuilds its lists. HNSW (hnsw.py) keeps
-its graph verbatim -- including tombstoned slots, which still route -- with
-the full slot table, adjacency lists, and RNG state. A payload that passes
-the checksum but does not have the shape its kind expects raises
+since the last one, and it is written as pieces. A load checks the whole
+payload first and then fills the slot table in one step
+(SlotTable.extend). Flat uses the default in base.py, the documents in slot
+order plus their rows. IVF (ivf.py) adds its params and fitted centroids;
+a load assigns each row to the list a single insert gives it. HNSW
+(hnsw.py) keeps its graph verbatim -- including tombstoned slots, which
+still route -- with the full slot table, adjacency lists, and RNG state.
+A payload that passes the checksum but does not have the shape its kind
+expects, or does not agree with the header's count and dimension, raises
 SnapshotCorruptError.
 """
 
@@ -143,7 +145,7 @@ def load_index(path: str | Path) -> VectorIndex:
         raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
     if len(blob) < _HEADER.size + _CRC.size:
         raise SnapshotCorruptError(f"{path}: file too short")
-    kind, _, count, plen = _parse_header(path, blob)
+    kind, dim, count, plen = _parse_header(path, blob)
     if len(blob) != _HEADER.size + plen + _CRC.size:
         raise SnapshotCorruptError(f"{path}: length mismatch")
     body, crc_raw = blob[:-_CRC.size], blob[-_CRC.size:]
@@ -162,6 +164,9 @@ def load_index(path: str | Path) -> VectorIndex:
     if len(index) != count:
         raise SnapshotCorruptError(
             f"{path}: header says {count} documents, payload has {len(index)}")
+    if (index.dim or 0) != dim:
+        raise SnapshotCorruptError(
+            f"{path}: header says dim {dim}, payload has {index.dim}")
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "loaded %(path)s: %(kind)s, %(documents)d documents, %(bytes)d "

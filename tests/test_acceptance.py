@@ -1,10 +1,10 @@
 """Acceptance suite: nine timed end-to-end criteria.
 
 Each criterion runs inside a timing guard with an explicit runtime budget and
-registers its verdict in conftest.ACCEPTANCE_RESULTS; a terminal-summary hook
+registers its verdict in helpers.ACCEPTANCE_RESULTS; a terminal-summary hook
 prints one PASS/FAIL line per criterion after the run, so the verdicts stay
 visible even with output capture on. Oracles are independent throughout:
-brute-force scans, hand predicates, and the conftest cache simulator.
+brute-force scans, hand predicates, and the helpers cache simulator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_RESULTS, SimCache, brute_force_knn,
+from helpers import (ACCEPTANCE_RESULTS, SimCache, brute_force_knn,
                       make_docs, unit_rows)
 from contextdb import (ConversationStore, FixtureEmbedder, FlatIndex,
                        HnswIndex, HnswParams, IvfIndex, IvfParams, Pipeline,

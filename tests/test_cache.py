@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from contextdb import ResponseCache, canonical_question, make_cache_key
-from conftest import SimCache
+from helpers import SimCache
 
 
 class TestBasics:

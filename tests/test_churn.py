@@ -17,7 +17,7 @@ import pytest
 
 from contextdb import (Document, FlatIndex, IvfIndex, IvfParams, Vector,
                        load_index, parse_filter)
-from conftest import brute_force_knn, unit_rows
+from helpers import brute_force_knn, unit_rows
 
 DIM = 6
 

@@ -8,7 +8,7 @@ import pytest
 
 from contextdb import load_index
 from contextdb.cli import load_config, main
-from conftest import rewrite_payload
+from helpers import rewrite_payload
 
 
 def run_cli(args, tmp_home, stdin: str | None = None):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from contextdb import ConversationStore, Message, StorageError
-from conftest import FailingFile
+from helpers import FailingFile
 
 
 class FakeClock:

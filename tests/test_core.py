@@ -122,6 +122,30 @@ class TestDocument:
             Document(id="a", text="", metadata={"k": [1]},  # type: ignore[dict-item]
                      embedding=Vector([1.0]))
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\x1c", "\x85", "\xa0",
+                                       "\u2028", "\u3000"])
+    def test_rejects_a_key_holding_any_whitespace(self, space):
+        for key in (space, "a" + space, space + "a", "a" + space + "b"):
+            with pytest.raises(ValueError, match="whitespace"):
+                Document(id="a", text="", metadata={key: 1},
+                         embedding=Vector([1.0]))
+
+    def test_accepts_subclasses_of_the_value_types(self):
+        class Tag(str):
+            pass
+
+        d = Document(id="a", text="", embedding=Vector([1.0]),
+                     metadata={"k\u200b": Tag("x"), "f": np.float64(0.5)})
+        assert dict(d.metadata) == {"k\u200b": "x", "f": 0.5}
+        with pytest.raises(TypeError):
+            Document(id="a", text="", metadata={"k": np.int64(1)},
+                     embedding=Vector([1.0]))
+
+    @pytest.mark.parametrize("text", [5, None, b"bytes"])
+    def test_rejects_non_string_text(self, text):
+        with pytest.raises(TypeError, match="text must be a string"):
+            Document(id="a", text=text, metadata={}, embedding=Vector([1.0]))
+
 
 class TestHashEmbedder:
     def test_deterministic_across_instances(self):

@@ -8,7 +8,7 @@ from contextdb import (DimensionMismatchError, Document, EmptyIndexError,
                        FilterTypeMismatchError, FlatIndex, HnswIndex, IvfIndex,
                        IvfParams, Vector, parse_filter)
 from contextdb.index.base import _SCREEN_ROWS
-from conftest import brute_force_knn, make_docs, unit_rows
+from helpers import brute_force_knn, make_docs, unit_rows
 
 
 def small_index():

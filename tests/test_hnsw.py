@@ -3,7 +3,7 @@ import pytest
 
 from contextdb import (Document, EmptyIndexError, FlatIndex, HnswIndex,
                        HnswParams, Vector, load_index, parse_filter)
-from conftest import brute_force_knn, make_docs, unit_rows
+from helpers import brute_force_knn, make_docs, unit_rows
 
 
 def build(data: np.ndarray, seed: int = 0, **kw) -> HnswIndex:

@@ -4,7 +4,7 @@ import pytest
 from contextdb import (Document, FlatIndex, IvfIndex, IvfParams,
                        NotTrainedError, TrainingDataError, Vector,
                        parse_filter)
-from conftest import brute_force_knn, make_docs, unit_rows
+from helpers import brute_force_knn, make_docs, unit_rows
 
 
 def trained_pair(rng, n=500, dim=12, **params):

@@ -6,7 +6,7 @@ from contextdb import (DEFAULT_TEMPLATE, STAGES, ConversationStore, Document,
                        SearchHit, StageError, StorageError, TemplateError,
                        Vector, assemble_prompt, parse_filter)
 from contextdb.cli import DEMO_QUESTION, demo_index
-from conftest import FailingFile
+from helpers import FailingFile
 
 
 class RecordingLlm(LlmClient):

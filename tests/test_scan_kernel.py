@@ -19,7 +19,7 @@ import pytest
 
 from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        IvfParams, Vector, load_index, parse_filter)
-from conftest import unit_rows
+from helpers import unit_rows
 
 KS = (1, 4, 10, 50)
 
@@ -255,7 +255,7 @@ def test_a_remove_fills_a_normed_slot_with_a_fresh_row(rng, kind):
     rows = unit_rows(rng, 4, 5)
     for doc in docs(rows[:3]):
         index.insert(doc)
-    index.search(Vector(rows[0]), 1)       # norms read: watermark 3
+    index._table.norms                     # norms read: watermark 3
     index.insert(docs(rows)[3])            # slot 3, no norm yet
     assert index._table._normed == 3
     index.remove("d0000")                  # slot 3's row moves to slot 0

@@ -13,7 +13,7 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        save_index)
 from contextdb.index import snapshot
 from contextdb.index.base import SlotTable, pack_array, unpack_array
-from conftest import HEADER, make_docs, rewrite_payload, unit_rows
+from helpers import HEADER, make_docs, rewrite_payload, unit_rows
 from snapshot_v1 import make as snapshot_v1
 
 
@@ -540,3 +540,160 @@ def test_a_save_logs_nothing_below_debug(tmp_path, caplog):
     small_flat().save(tmp_path / "s.snap")
     load_index(tmp_path / "s.snap")
     assert [r for r in caplog.records if r.name == "contextdb.snapshot"] == []
+
+
+# -- bulk loads ----------------------------------------------------------------
+
+def ivf_with(rows: np.ndarray, centroids: np.ndarray) -> IvfIndex:
+    """An ivf index over the given centroids, rows inserted one at a time."""
+    index = IvfIndex(IvfParams(nlist=centroids.shape[0]))
+    index._set_centroids(centroids)
+    for i, row in enumerate(rows):
+        index.insert(Document(f"r{i:05d}", "", {}, Vector(row)))
+    return index
+
+
+def assert_loads_into_the_same_lists(tmp_path, monkeypatch, index) -> int:
+    """index saved and loaded has the ids, rows and lists of its single
+    inserts; returns how many rows the load re-checked with the kernel."""
+    rechecked = []
+    list_of = IvfIndex._list_of
+
+    def counted(self, values):
+        rechecked.append(1)
+        return list_of(self, values)
+
+    path = tmp_path / "ivf.snap"
+    index.save(path)
+    monkeypatch.setattr(IvfIndex, "_list_of", counted)
+    loaded = load_index(path)
+    t, u = index._table, loaded._table
+    assert u.ids == t.ids
+    assert np.array_equal(u.rows, t.rows)
+    assert np.array_equal(u.tags, t.tags)
+    return len(rechecked)
+
+
+@pytest.mark.parametrize("nlist", [1, 100])
+def test_bulk_ivf_lists_match_single_inserts_on_random_rows(
+        tmp_path, monkeypatch, rng, nlist):
+    rows = unit_rows(rng, 10_000, 16)
+    index = IvfIndex(IvfParams(nlist=nlist, seed=1, kmeans_iters=5))
+    index.train(rows[:3000])
+    for i, row in enumerate(rows):
+        index.insert(Document(f"r{i:05d}", "", {}, Vector(row)))
+    assert assert_loads_into_the_same_lists(tmp_path, monkeypatch, index) \
+        < 100
+
+
+def test_bulk_ivf_lists_match_single_inserts_on_midpoints(
+        tmp_path, monkeypatch, rng):
+    """Rows halfway between two centroids tie to rounding: the screen
+    cannot tell them apart, and the kernel decides as a single insert."""
+    centroids = rng.standard_normal((40, 8))
+    pairs = rng.integers(0, 40, (3000, 2))
+    rows = (centroids[pairs[:, 0]] + centroids[pairs[:, 1]]) / 2
+    index = ivf_with(rows, centroids)
+    assert assert_loads_into_the_same_lists(tmp_path, monkeypatch, index) \
+        > 0
+
+
+def test_bulk_ivf_lists_match_single_inserts_past_the_gemm_range(
+        tmp_path, monkeypatch, rng):
+    """Rows of norm about 1e155 near centroids of that norm: |x|^2 and
+    |c|^2 overflow, so the whole screen does and every row is re-checked;
+    the kernel's sum overflows too, except against the row's own
+    centroid."""
+    centroids = 1e155 * unit_rows(rng, 20, 64)
+    rows = centroids[rng.integers(0, 20, 200)] + \
+        1e152 * rng.standard_normal((200, 64))
+    index = ivf_with(rows, centroids)
+    assert len(set(index._table.tags.tolist())) > 10
+    assert assert_loads_into_the_same_lists(tmp_path, monkeypatch, index) \
+        == 200
+
+
+def bad_load(tmp_path, kind: str, edit) -> None:
+    path = tmp_path / "b.snap"
+    snapshot_v1.build(kind).save(path)
+    rewrite_payload(path, edit)
+    with pytest.raises(SnapshotCorruptError, match="malformed|header says"):
+        load_index(path)
+
+
+def set_doc_field(payload, field: str, value, i: int = 0) -> None:
+    """Set a field of the ith document; an hnsw id is also its slot's."""
+    doc = payload["docs"][i]
+    doc[field] = value
+    if field == "id" and "ids" in payload:
+        payload["ids"][doc["slot"]] = value
+
+
+@pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+@pytest.mark.parametrize("text", [5, None, ["t"]])
+def test_a_document_whose_text_is_not_a_string_is_corrupt(tmp_path, kind,
+                                                          text):
+    bad_load(tmp_path, kind, lambda p: set_doc_field(p, "text", text))
+
+
+@pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+@pytest.mark.parametrize("how", ["duplicate-id", "empty-id", "id-not-str",
+                                 "nested-meta", "meta-key-space",
+                                 "row-width"])
+def test_a_bad_document_fails_the_whole_load(tmp_path, kind, how):
+    def edit(payload):
+        if how == "duplicate-id":
+            set_doc_field(payload, "id", payload["docs"][1]["id"])
+        elif how == "empty-id":
+            set_doc_field(payload, "id", "")
+        elif how == "id-not-str":
+            set_doc_field(payload, "id", 7)
+        elif how == "nested-meta":
+            set_doc_field(payload, "meta", {"n": {"deep": 1}}, i=-1)
+        elif how == "meta-key-space":
+            set_doc_field(payload, "meta", {"a b": 1}, i=-1)
+        else:   # every row one coordinate short
+            payload["vectors"] = pack_array(
+                unpack_array(payload["vectors"])[:, :-1])
+
+    bad_load(tmp_path, kind, edit)
+
+
+def test_a_shape_that_does_not_fit_the_row_data_is_corrupt(tmp_path):
+    bad_load(tmp_path, "flat",
+             lambda p: p["vectors"].update(shape=[17, 5]))
+    bad_load(tmp_path, "flat",
+             lambda p: p["vectors"].update(shape=[68]))
+
+
+@pytest.mark.parametrize("which", ["empty-flat", "emptied-flat",
+                                   "untrained-ivf", "empty-trained-ivf",
+                                   "emptied-ivf", "empty-hnsw"])
+def test_empty_indexes_round_trip(tmp_path, rng, which):
+    rows = unit_rows(rng, 20, 4)
+    if which.endswith("flat"):
+        index = FlatIndex()
+    elif which.endswith("hnsw"):
+        index = HnswIndex(HnswParams(m=4, ef_construction=8, seed=1))
+    else:
+        index = IvfIndex(IvfParams(nlist=4, seed=1))
+        if which != "untrained-ivf":
+            index.train(rows)
+    if which.startswith("emptied"):
+        for doc in make_docs(rows):
+            index.insert(doc)
+        for doc in make_docs(rows):
+            index.remove(doc.id)
+    path = tmp_path / "e.snap"
+    index.save(path)
+    loaded = load_index(path)
+    assert type(loaded) is type(index) and len(loaded) == 0
+    loaded.save(tmp_path / "again.snap")
+    assert (tmp_path / "again.snap").read_bytes() == path.read_bytes()
+    if which == "untrained-ivf":
+        assert not loaded.trained
+        loaded.train(rows)
+    for doc in make_docs(rows[:5]):
+        loaded.insert(doc)
+    hit = loaded.search(Vector(rows[3]), 1)[0]
+    assert (hit.doc_id, hit.distance) == ("d00003", 0.0)
