@@ -95,6 +95,24 @@ def load_config(path: Path | None = None) -> dict[str, str]:
     return config
 
 
+def _config_int(flag: int | None, config: dict[str, str], key: str,
+               default: int | None, least: int | None = 1) -> int | None:
+    """flag if given, else config's value for key as an int, else default.
+    A config value that is not an int, or is below least, is a data error
+    (CatalogError) that names the key."""
+    if flag is not None or key not in config:
+        return default if flag is None else flag
+    text = config[key]
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or (least is not None and value < least):
+        want = "an integer" if least is None else f"an integer >= {least}"
+        raise CatalogError(f"config {key} = {text!r}: expected {want}")
+    return value
+
+
 def _fmt_metadata(metadata) -> str:
     return " ".join(f"{k}={fmt_meta(metadata[k])}" for k in sorted(metadata))
 
@@ -132,9 +150,8 @@ def _load_index_dir(index_dir: Path):
 def cmd_ingest(args) -> int:
     config = load_config()
     choice = args.embedder or config.get("embedder", "hash")
-    dim = args.dim if args.dim is not None else (
-        int(config["dim"]) if "dim" in config else None)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    dim = _config_int(args.dim, config, "dim", None)
+    seed = _config_int(args.seed, config, "seed", 0, least=None)
     embedder = make_embedder(choice, dim, seed)
 
     catalog_path = Path(args.catalog)
@@ -176,7 +193,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     config = load_config()
-    k = args.k if args.k is not None else int(config.get("k", 4))
+    k = _config_int(args.k, config, "k", 4)
     filt = parse_filter(args.filter if args.filter is not None
                         else config.get("filter", ""))
     index, embedder = _load_index_dir(Path(args.index))
@@ -247,9 +264,13 @@ def cmd_demo_shoes(args) -> int:
 
 def cmd_chat(args) -> int:
     config = load_config()
-    k = args.k if args.k is not None else int(config.get("k", 4))
+    k = _config_int(args.k, config, "k", 4)
     filt = parse_filter(args.filter if args.filter is not None
                         else config.get("filter", ""))
+    cache = ResponseCache(
+        _config_int(None, config, "cache_capacity", DEFAULT_CAPACITY),
+        _config_int(None, config, "cache_ttl_ms", DEFAULT_TTL_MS))
+    history_window = _config_int(None, config, "history_window", 10)
     home = data_home()
     home.mkdir(parents=True, exist_ok=True)
 
@@ -261,16 +282,12 @@ def cmd_chat(args) -> int:
         # out-of-the-box demo: chat against the shoe catalog
         index, embedder = demo_index(), FixtureEmbedder()
 
-    conversations = ConversationStore(home / "conversations.jsonl")
-    profiles = ProfileStore(home / "profiles.jsonl")
-    cache = ResponseCache(
-        capacity=int(config.get("cache_capacity", DEFAULT_CAPACITY)),
-        default_ttl_ms=int(config.get("cache_ttl_ms", DEFAULT_TTL_MS)))
-    pipeline = Pipeline(
-        index=index, conversations=conversations, profiles=profiles,
-        embedder=embedder, llm=MockLlm(), cache=cache,
-        history_window=int(config.get("history_window", 10)))
-    try:
+    with ConversationStore(home / "conversations.jsonl") as conversations, \
+            ProfileStore(home / "profiles.jsonl") as profiles:
+        pipeline = Pipeline(
+            index=index, conversations=conversations, profiles=profiles,
+            embedder=embedder, llm=MockLlm(), cache=cache,
+            history_window=history_window)
         for raw in sys.stdin:
             question = raw.strip()
             if not question:
@@ -291,9 +308,6 @@ def cmd_chat(args) -> int:
                 if resp.retrieved:
                     print("retrieved: "
                           + ", ".join(h.doc_id for h in resp.retrieved))
-    finally:
-        conversations.close()
-        profiles.close()
     return 0
 
 

@@ -7,6 +7,7 @@ function is pure, so concurrent use needs no external locking.
 from __future__ import annotations
 
 import hashlib
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -32,6 +33,16 @@ def meta_kind(value: object) -> str:
     if isinstance(value, str):
         return "string"
     raise TypeError(f"unsupported metadata value type: {type(value).__name__}")
+
+
+def meta_number(value: int | float) -> float:
+    """The float64 a metadata number compares as: float(value), or ±inf for
+    an int past float64's range, as float("1e400") already reads. So
+    2**53 + 1 equals 2**53, and 10**400 equals 1e400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def fmt_meta(value: MetaValue) -> str:

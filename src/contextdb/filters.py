@@ -12,13 +12,14 @@ OP one of ``= != < <= > >= in``. Strings are double-quoted, booleans are
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, MetaValue, meta_kind
+from .core import Document, MetaValue, meta_kind, meta_number
 from .errors import FilterParseError, FilterTypeMismatchError
 
 
@@ -33,10 +34,6 @@ class Op(enum.Enum):
 
 
 _ORDERING_OPS = frozenset({Op.LT, Op.LE, Op.GT, Op.GE})
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,11 +55,11 @@ class Clause:
         else:
             if isinstance(self.value, tuple):
                 raise ValueError(f"operator {self.op.value} takes a single literal")
-            meta_kind(self.value)
-            if self.op in _ORDERING_OPS and not _is_number(self.value):
+            kind = meta_kind(self.value)
+            if self.op in _ORDERING_OPS and kind != "number":
                 raise ValueError(
                     f"ordering operator {self.op.value} applies only to numbers, "
-                    f"got {meta_kind(self.value)}"
+                    f"got {kind}"
                 )
 
 
@@ -88,69 +85,66 @@ class FilterExpr:
         return True
 
     def mask(self, columns: "MetaColumns",
-             pool: slice | np.ndarray) -> np.ndarray | None:
+             pool: slice | np.ndarray) -> np.ndarray:
         """matches() of every slot that pool (an index into the slots)
         picks, as one boolean array in pool order; a dead slot is false.
-        None when matches() would raise on one of them, on a kind mismatch
-        or a number float() cannot hold: the caller then runs matches()
-        to raise that very error."""
+        Where matches() raises on pooled slots, this raises the error that
+        matches() raises on the first of them in pool order."""
         n = columns.count
         out = columns.live[:n][pool].copy()  # held by every clause so far
+        first = None                # (position, error) of the first raise
         for clause in self.clauses:
             col = columns.fields.get(clause.field)
             if col is None:                     # no slot has the field
-                return np.zeros_like(out)
-            kind = col.kind[:n][pool]
-            pending = out & (kind != _MISSING)  # not yet matched by an item
+                out[:] = False
+                break
+            kind, value = col.kind[:n][pool], col.value[:n][pool]
+            pending = out & (kind != 0)  # has the field, no item matched yet
             held = np.zeros_like(out)
+            compare = _COMPARE[clause.op]
             items = clause.value if clause.op is Op.IN else (clause.value,)
             for item in items:                  # matches() stops at a hit
-                code = _kind_code(item)
-                if (pending & (kind != (-1 if code == _HUGE else code))).any():
-                    return None
-                if code == _NUMBER:
-                    hit = _COMPARE[clause.op](col.num[:n][pool], float(item))
-                else:
-                    hit = col.code[:n][pool] == columns.code_of(item)
-                hit &= pending
+                item_kind = meta_kind(item)
+                bad = pending & (kind != _KINDS.index(item_kind))
+                if bad.any():
+                    at = int(bad.argmax())
+                    if first is None or at < first[0]:
+                        first = (at, FilterTypeMismatchError(
+                            clause.field, _KINDS[kind[at]], item_kind))
+                    pending &= ~bad
+                hit = compare(value, columns.value_of(item)) & pending
                 held |= hit
                 pending &= ~hit
             out &= pending if clause.op is Op.NE else held
+        if first is not None:
+            raise first[1]
         return out
 
 
-def _typed_eq(field: str, stored: MetaValue, literal: MetaValue) -> bool:
-    stored_kind = meta_kind(stored)
-    literal_kind = meta_kind(literal)
-    if stored_kind != literal_kind:
-        raise FilterTypeMismatchError(field, stored_kind, literal_kind)
-    if stored_kind == "number":
-        return float(stored) == float(literal)
-    return stored == literal
+# One comparison per operator, for a stored value and a literal of one kind
+# (numbers as meta_number): on scalars in matches(), on columns in mask().
+# NE and IN test equality; the clause then negates or ORs it.
+_COMPARE = {Op.EQ: operator.eq, Op.NE: operator.eq, Op.IN: operator.eq,
+            Op.LT: operator.lt, Op.LE: operator.le,
+            Op.GT: operator.gt, Op.GE: operator.ge}
 
 
 def _clause_holds(clause: Clause, metadata) -> bool:
     if clause.field not in metadata:
         return False
     stored = metadata[clause.field]
-    if clause.op is Op.EQ:
-        return _typed_eq(clause.field, stored, clause.value)
-    if clause.op is Op.NE:
-        return not _typed_eq(clause.field, stored, clause.value)
-    if clause.op is Op.IN:
-        return any(_typed_eq(clause.field, stored, item) for item in clause.value)
-    # ordering operator: both sides must be numbers
-    if not _is_number(stored):
-        raise FilterTypeMismatchError(clause.field, meta_kind(stored), "number")
-    left = float(stored)
-    right = float(clause.value)  # type: ignore[arg-type]
-    if clause.op is Op.LT:
-        return left < right
-    if clause.op is Op.LE:
-        return left <= right
-    if clause.op is Op.GT:
-        return left > right
-    return left >= right
+    kind = meta_kind(stored)
+    compare = _COMPARE[clause.op]
+    for item in clause.value if clause.op is Op.IN else (clause.value,):
+        if meta_kind(item) != kind:
+            raise FilterTypeMismatchError(clause.field, kind, meta_kind(item))
+        if kind == "number":
+            hit = compare(meta_number(stored), meta_number(item))
+        else:
+            hit = compare(stored, item)
+        if hit:
+            return clause.op is not Op.NE
+    return clause.op is Op.NE
 
 
 def evaluate_filter(expr: FilterExpr, doc: Document) -> bool:
@@ -160,38 +154,21 @@ def evaluate_filter(expr: FilterExpr, doc: Document) -> bool:
 
 # --- metadata columns -------------------------------------------------------
 
-# The kind code of a stored value. _HUGE is a number float() cannot hold; a
-# literal float() cannot hold gets -1. Either code differs from every other,
-# so a clause that reaches it reads as a mismatch and falls back to matches().
-_MISSING, _BOOLEAN, _NUMBER, _STRING, _HUGE = range(5)
-
-_COMPARE = {Op.EQ: np.equal, Op.NE: np.equal, Op.IN: np.equal,
-            Op.LT: np.less, Op.LE: np.less_equal,
-            Op.GT: np.greater, Op.GE: np.greater_equal}
-
-
-def _kind_code(value: MetaValue) -> int:
-    if isinstance(value, bool):
-        return _BOOLEAN
-    if isinstance(value, str):
-        return _STRING
-    try:
-        float(value)
-    except OverflowError:
-        return _HUGE
-    return _NUMBER
+# The kind of a stored value, coded as its index; 0 is a slot without the
+# field.
+_KINDS = ("missing", "boolean", "number", "string")
 
 
 class _Column:
-    """One metadata field over the slots: a kind code per slot, the float
-    value of a number, and the interned code of a string or boolean."""
+    """One metadata field over the slots: a kind code per slot and the
+    value: a number as meta_number, a boolean as 0 or 1, and a string as
+    its interned code."""
 
-    __slots__ = ("kind", "num", "code")
+    __slots__ = ("kind", "value")
 
     def __init__(self, size: int):
         self.kind = np.zeros(size, dtype=np.int8)
-        self.num = np.zeros(size)
-        self.code = np.zeros(size, dtype=np.int32)
+        self.value = np.zeros(size)
 
     def grow(self, size: int) -> None:
         for name in self.__slots__:
@@ -203,9 +180,9 @@ class _Column:
 
 class MetaColumns:
     """The metadata of a slot table's first count slots as one _Column per
-    field, for FilterExpr.mask. A boolean codes as 0 or 1 and a string as
-    its index among the strings seen so far; the kind code keeps codes of
-    different kinds apart."""
+    field, for FilterExpr.mask. A string codes as its index among the
+    strings seen so far; the kind code keeps values of different kinds
+    apart."""
 
     def __init__(self):
         self.count = 0
@@ -213,11 +190,12 @@ class MetaColumns:
         self.fields: dict[str, _Column] = {}
         self.strings: dict[str, int] = {}   # string -> its code
 
-    def code_of(self, literal: bool | str) -> int:
-        """A literal's code; -1 for a string that no slot has held."""
-        if isinstance(literal, bool):
-            return int(literal)
-        return self.strings.get(literal, -1)
+    def value_of(self, literal: MetaValue) -> float:
+        """A literal as the columns hold it; -1 for a string that no slot
+        has held."""
+        if isinstance(literal, str):
+            return self.strings.get(literal, -1)
+        return meta_number(literal)
 
     def encode(self, slots: list[int],
                metas: Sequence[Mapping[str, MetaValue] | None]) -> None:
@@ -235,9 +213,9 @@ class MetaColumns:
                 col.grow(size)
         idx = np.array(slots)
         for col in self.fields.values():
-            col.kind[idx] = _MISSING
+            col.kind[idx] = 0
         strings = self.strings
-        entries: dict[str, list[tuple[int, int, float, int]]] = {}
+        entries: dict[str, list[tuple[int, int, float]]] = {}
         live_slots = []
         for slot in slots:
             meta = metas[slot]
@@ -245,22 +223,21 @@ class MetaColumns:
                 continue
             live_slots.append(slot)
             for field, value in meta.items():
-                kind, num, code = _kind_code(value), 0.0, 0
-                if kind == _NUMBER:
-                    num = float(value)
-                elif kind == _STRING:
+                kind = meta_kind(value)
+                if kind == "string":
                     code = strings.setdefault(value, len(strings))
-                elif kind == _BOOLEAN:
-                    code = int(value)
-                entries.setdefault(field, []).append((slot, kind, num, code))
+                else:
+                    code = meta_number(value)
+                entries.setdefault(field, []).append(
+                    (slot, _KINDS.index(kind), code))
         self.live[idx] = False
         self.live[live_slots] = True
         for field, rows in entries.items():
             col = self.fields.get(field)
             if col is None:
                 col = self.fields[field] = _Column(size)
-            at, kind, num, code = (list(c) for c in zip(*rows))
-            col.kind[at], col.num[at], col.code[at] = kind, num, code
+            at, kind, value = (list(c) for c in zip(*rows))
+            col.kind[at], col.value[at] = kind, value
 
 
 # --- string grammar ---------------------------------------------------------

@@ -359,13 +359,7 @@ class VectorIndex(ABC):
             self._check_search_ready(query, k)
             q, t = query.values, self._table
             pool = self._pool(q, **overrides)
-            slots = np.arange(t.count)[pool]
-            mask = filt.mask(t.columns(), pool)
-            if mask is None:  # matches() raises on a pooled slot: let it
-                keep = [s for s in slots.tolist() if (meta := t.metas[s])
-                        is not None and filt.matches(meta)]
-            else:
-                keep = slots[mask]
+            keep = np.arange(t.count)[pool][filt.mask(t.columns(), pool)]
             return self._to_hits(self._scan(q, k, keep), k)
 
     # -- persistence --------------------------------------------------------

@@ -15,6 +15,7 @@ refuses is left exactly as it was found.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
@@ -32,7 +33,9 @@ logger = logging.getLogger(__name__)
 class JsonlLog:
     def __init__(self, path: str | Path, record: type,
                  apply: Callable[[Any], None]):
-        """Replay the file at path, if any, then open it for appending.
+        """Open the file at path for appending, creating it if missing, and
+        lock it, then replay it. A log another writer holds, in this process
+        or another, raises StorageError.
 
         record is a dataclass: each line is one instance, as an object with
         its fields in order. apply installs a replayed record and raises
@@ -40,19 +43,26 @@ class JsonlLog:
         self.path = Path(path)
         self._names = [f.name for f in fields(record)]
         self._fields_of = attrgetter(*self._names)
-        self._recover(record, apply)
         try:
             self._fh = open(self.path, "ab", buffering=0)
-            self._size = os.fstat(self._fh.fileno()).st_size
         except OSError as exc:
             raise StorageError(f"cannot open {self.path}: {exc}") from exc
+        try:   # one writer per log: no second opener replays or heals it
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            self._recover(record, apply)
+            self._size = os.fstat(self._fh.fileno()).st_size
+        except BlockingIOError as exc:
+            self._fh.close()
+            raise StorageError(
+                f"{self.path} is open in another writer") from exc
+        except BaseException:
+            self._fh.close()
+            raise
 
     def _recover(self, record: type, apply: Callable[[Any], None]) -> None:
         values_of = itemgetter(*self._names)
         try:
             raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return
         except OSError as exc:
             raise StorageError(f"cannot read {self.path}: {exc}") from exc
         lines = raw.split(b"\n")
@@ -100,6 +110,7 @@ class JsonlLog:
         self._size += len(data)
 
     def close(self) -> None:
+        """fsync and close the log, which releases its lock."""
         if not self._fh.closed:
             os.fsync(self._fh.fileno())
             self._fh.close()

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .core import MetaValue, _validate_metadata, meta_kind
+from .core import MetaValue, _validate_metadata, meta_kind, meta_number
 from .errors import ProfileNotFoundError
 from .jsonl import JsonlStore
 
@@ -43,7 +43,7 @@ class Profile:
 def _eq_key(value: MetaValue) -> tuple[str, MetaValue]:
     """Kind-tagged key so 100, 100.0 coincide but True and "100" do not."""
     kind = meta_kind(value)
-    return (kind, float(value) if kind == "number" else value)
+    return (kind, meta_number(value) if kind == "number" else value)
 
 
 class ProfileStore(JsonlStore):

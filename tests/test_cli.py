@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from contextdb import load_index
+from contextdb import ConversationStore, ProfileStore, load_index
 from contextdb.cli import load_config, main
 from helpers import rewrite_payload
 
@@ -101,6 +101,22 @@ class TestIngestAndQuery:
         assert out.splitlines() == [
             "1. reebok-floatride  distance=0.22  brand=Reebok price=90"]
 
+    def test_a_price_past_float64_filters_as_inf(self, home, tmp_path):
+        catalog = tmp_path / "shoes.jsonl"
+        write_catalog(catalog, SHOES_JSONL + [
+            {"id": "gold", "text": "Gold", "metadata": {"price": 10 ** 400},
+             "embedding": [3.0, 2.7]}])
+        run_cli(["ingest", "--catalog", str(catalog), "--index",
+                 str(tmp_path / "idx"), "--embedder", "fixture"], home)
+        for text, want in (("price<100", ["reebok-floatride"]),
+                           ("price>1e308", ["gold"])):
+            code, out, err = run_cli(
+                ["query", "--index", str(tmp_path / "idx"),
+                 "--q", "I need comfortable running shoes under $100",
+                 "--k", "5", "--filter", text], home)
+            assert code == 0, err
+            assert [line.split()[1] for line in out.splitlines()] == want
+
     def test_hash_embedder_round_trip(self, home, tmp_path):
         catalog = tmp_path / "c.jsonl"
         write_catalog(catalog, [
@@ -136,6 +152,15 @@ class TestIngestAndQuery:
                                 "--index", str(tmp_path / "idx")], home)
         assert code == 2
         assert "no valid records" in err
+
+    def test_a_bad_config_dim_is_a_data_error(self, home, tmp_path,
+                                              monkeypatch, capsys):
+        home.mkdir(parents=True)
+        (home / "config").write_text("dim = 0\n")
+        monkeypatch.setenv("CONTEXTDB_HOME", str(home))
+        assert main(["ingest", "--catalog", str(tmp_path / "c.jsonl"),
+                     "--index", str(tmp_path / "idx")]) == 2
+        assert capsys.readouterr().err.startswith("error: config dim = ")
 
     def test_missing_catalog_is_a_data_error(self, home, tmp_path):
         code, _, _ = run_cli(["ingest", "--catalog",
@@ -266,6 +291,41 @@ class TestChat:
                                 "--verbose"], home, stdin=f"{q}\n")
         assert code == 0
         assert "retrieved: reebok-floatride" in out.splitlines()[-1]
+
+    @pytest.mark.parametrize("line", [
+        "k = abc", "history_window = 0", "cache_capacity = 0",
+        "cache_ttl_ms = -5"])
+    def test_a_bad_config_value_is_a_data_error(self, home, line):
+        home.mkdir(parents=True)
+        (home / "config").write_text(line + "\n")
+        code, out, err = run_cli(["chat", "--session", "s", "--user", "u"],
+                                 home, stdin="hello\n")
+        assert code == 2
+        assert err.startswith(f"error: config {line.split()[0]} = ")
+        assert "Traceback" not in err
+        assert not (home / "conversations.jsonl").exists()
+
+    def test_a_second_chat_on_a_held_log_exits_2(self, home):
+        q = "I need comfortable running shoes under $100"
+        args = ["chat", "--session", "s", "--user", "u"]
+        assert run_cli(args, home, stdin=f"{q}\n")[0] == 0
+        with ConversationStore(home / "conversations.jsonl") as held:
+            code, out, err = run_cli(args, home, stdin="Reebok Floatride\n")
+            assert code == 2
+            assert "another writer" in err and out == ""
+            held.append_message("s", "user", "still mine")
+        with ConversationStore(home / "conversations.jsonl") as reopened:
+            assert reopened.count("s") == 3
+
+    def test_a_held_profile_log_closes_the_conversation_log(
+            self, home, monkeypatch, capsys):
+        home.mkdir(parents=True)
+        monkeypatch.setenv("CONTEXTDB_HOME", str(home))
+        with ProfileStore(home / "profiles.jsonl"):
+            assert main(["chat", "--session", "s", "--user", "u"]) == 2
+        assert "another writer" in capsys.readouterr().err
+        # chat closed it, so it is free again
+        ConversationStore(home / "conversations.jsonl").close()
 
 
 class TestBench:

@@ -133,6 +133,21 @@ class TestDurability:
         with ConversationStore(store_path) as store:
             assert store.get_history("s", 1)[0].text == text
 
+    def test_a_second_writer_is_refused_until_the_first_closes(
+            self, store_path):
+        """Two stores on one file used to each append seq 0 of a session,
+        and the reopen then refused the log."""
+        with ConversationStore(store_path) as first:
+            first.append_message("s", "user", "one")
+            with pytest.raises(StorageError, match="another writer"):
+                ConversationStore(store_path)
+            first.append_message("s", "user", "two")
+        with ConversationStore(store_path) as second:
+            second.append_message("s", "user", "three")
+        with ConversationStore(store_path) as reopened:
+            assert [m.text for m in reopened.get_history("s", 10)] == \
+                ["one", "two", "three"]
+
     def test_concurrent_writers_each_session_contiguous(self, store_path):
         with ConversationStore(store_path) as store:
             def writer(i: int):

@@ -34,7 +34,7 @@ def outcome(search):
     """(ids in rank order, None) or (None, (exception type, message))."""
     try:
         return [h.doc_id for h in search()], None
-    except (FilterTypeMismatchError, OverflowError) as exc:
+    except FilterTypeMismatchError as exc:
         return None, (type(exc), str(exc))
 
 
@@ -97,8 +97,7 @@ def build(kind: str, rng):
 
 @pytest.mark.parametrize("kind", ["flat", "hnsw", "ivf"])
 def test_mask_equals_reference_on_random_metadata(tmp_path, rng, kind):
-    seen = {"hits": 0, "empty": 0, FilterTypeMismatchError: 0,
-            OverflowError: 0}
+    seen = {"hits": 0, "empty": 0, FilterTypeMismatchError: 0}
     for p_foreign, p_huge in ((0.0, 0.0), (0.02, 0.0), (0.0, 0.01),
                               (0.3, 0.05)):
         index = build(kind, rng)
@@ -219,3 +218,47 @@ def test_string_churn_keeps_the_interned_strings_bounded(rng):
                            parse_filter(f'sku="s{i - 50}"'))
             assert got == [f"d{(i - 50) % 100}"]
     assert len(index._table.columns().strings) < 400
+
+
+def edge_index(kind: str, rng, values: list):
+    """A small index whose document d{i} holds values[i] in field v."""
+    index = build(kind, rng)
+    if kind == "ivf":
+        index = IvfIndex(IvfParams(nlist=1, nprobe=1))
+        index.train(np.zeros((1, DIM)))
+    for i, value in enumerate(values):
+        index.insert(Document(f"d{i}", "", {"v": value},
+                              Vector(rng.standard_normal(DIM))))
+    return index
+
+
+@pytest.mark.parametrize("kind", ["flat", "hnsw", "ivf"])
+@pytest.mark.parametrize("values,text", EDGE_CASES)
+def test_the_search_path_never_calls_matches(monkeypatch, rng, kind, values,
+                                             text):
+    """The mask alone decides what a filtered search returns or raises."""
+    index = edge_index(kind, rng, values)
+    q, filt = rng.standard_normal(DIM), parse_filter(text)
+    want = outcome(lambda: reference(index, q, len(index), filt))
+
+    def refuse(self, metadata):
+        raise AssertionError("search_filtered called FilterExpr.matches")
+
+    monkeypatch.setattr(FilterExpr, "matches", refuse)
+    assert outcome(lambda: index.search_filtered(
+        Vector(q), len(index), filt)) == want
+
+
+@pytest.mark.parametrize("kind", ["flat", "hnsw", "ivf"])
+@pytest.mark.parametrize("text,want", [
+    ("v<2", {"d0", "d2"}),                         # stored past the range
+    (f"v={HUGE}", {"d1", "d4"}),                   # literal past the range
+    (f"v>={10 ** 399}", {"d1", "d4"}),
+    (f"v in ({-HUGE}, 1)", {"d0", "d2"}),
+    (f"v!={HUGE}", {"d0", "d2", "d3"}),
+    ("v<1e400", {"d0", "d2", "d3"}),
+], ids=["lt", "eq", "ge", "in", "ne", "lt-float"])
+def test_numbers_past_float64_compare_as_inf(rng, kind, text, want):
+    index = edge_index(kind, rng, [1, HUGE, -HUGE, 1e300, float("inf")])
+    got, err = check(index, rng.standard_normal(DIM), parse_filter(text))
+    assert err is None and set(got) == want

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from contextdb import (DEFAULT_TEMPLATE, STAGES, ConversationStore, Document,
@@ -280,8 +282,9 @@ class TestHandleQuery:
         assert exc_info.value.stage == "persist"
         assert pipe.conversations.count("s1") == 0
         assert len(pipe.cache) == 0
-        with ConversationStore(tmp_path / "conv.jsonl") as reopened:
-            assert reopened.count("s1") == 0
+        on_disk = (tmp_path / "conv.jsonl").read_text().splitlines()
+        assert [line for line in on_disk
+                if json.loads(line)["session_id"] == "s1"] == []
         # the fault was one-off: the same turn now goes through whole
         assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
         assert pipe.conversations.count("s1") == 2

@@ -176,6 +176,16 @@ class TestDurability:
             # secondary index rebuilt from disk
             assert [p.user_id for p in store.query_by_field("a", 2)] == ["u1"]
 
+    def test_a_number_past_float64_reopens_and_equals_inf(self, store_path):
+        with ProfileStore(store_path) as store:
+            store.put_profile("u", {"x": 10 ** 400})
+        with ProfileStore(store_path) as store:
+            assert store.get_profile("u").fields["x"] == 10 ** 400
+            for value in (10 ** 401, 1e400):    # both compare as +inf
+                assert [p.user_id for p in store.query_by_field("x", value)] \
+                    == ["u"]
+            assert store.query_by_field("x", -10 ** 400) == []
+
     def test_last_line_per_user_wins(self, store_path):
         with ProfileStore(store_path) as store:
             for i in range(5):
