@@ -331,9 +331,6 @@ def _build_bench_index(kind: str, args, data: np.ndarray,
 
 
 def cmd_bench(args) -> int:
-    if args.n < 100:
-        print("error: --n must be >= 100", file=sys.stderr)
-        return 1
     rng = np.random.default_rng(args.seed)
     data = rng.standard_normal((args.n, args.dim))
     data /= np.linalg.norm(data, axis=1, keepdims=True)
@@ -379,6 +376,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _AtLeast(argparse.Action):
+    """Stores an int flag (type=int), which must be at least const: a
+    smaller one is a usage error that names the flag."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.const:
+            parser.error(f"{option_string} must be >= {self.const}, "
+                         f"got {value}")
+        setattr(namespace, self.dest, value)
+
+
+def _int_flag(p: argparse.ArgumentParser, flag: str, least: int = 1,
+              **kwargs) -> None:
+    p.add_argument(flag, type=int, action=_AtLeast, const=least, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contextdb",
                      description="Embedded multi-context store and RAG "
@@ -390,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--index", required=True, help="index directory to write")
     p.add_argument("--embedder", choices=["hash", "fixture"])
-    p.add_argument("--dim", type=int)
+    _int_flag(p, "--dim")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("query", help="search an ingested index")
     p.add_argument("--index", required=True)
     p.add_argument("--q", required=True, help="question text")
-    p.add_argument("--k", type=int)
+    _int_flag(p, "--k")
     p.add_argument("--filter", help='e.g. \'price<100 && brand="Reebok"\'')
     p.set_defaults(func=cmd_query)
 
@@ -408,23 +421,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chat", help="interactive pipeline loop over stdin")
     p.add_argument("--session", required=True)
     p.add_argument("--user", required=True)
-    p.add_argument("--k", type=int)
+    _int_flag(p, "--k")
     p.add_argument("--filter")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_chat)
 
     p = sub.add_parser("bench", help="recall/latency vs the flat oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _int_flag(p, "--n", 100, required=True)
+    _int_flag(p, "--dim", required=True)
+    _int_flag(p, "--k", required=True)
     p.add_argument("--kind", choices=["flat", "hnsw", "ivf"], required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=16)
-    p.add_argument("--ef-construction", type=int, default=200)
-    p.add_argument("--ef-search", type=int, default=64)
-    p.add_argument("--nlist", type=int)
-    p.add_argument("--nprobe", type=int)
-    p.add_argument("--kmeans-iters", type=int, default=20)
+    _int_flag(p, "--m", 2, default=16)
+    _int_flag(p, "--ef-construction", default=200)
+    _int_flag(p, "--ef-search", default=64)
+    _int_flag(p, "--nlist")
+    _int_flag(p, "--nprobe")
+    _int_flag(p, "--kmeans-iters", default=20)
     p.set_defaults(func=cmd_bench)
     return parser
 
@@ -440,10 +453,7 @@ def main(argv=None) -> int:
     except FilterParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ContextDbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ContextDbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,14 +20,18 @@ from .errors import DimensionMismatchError, InvalidVectorError, UnknownFixtureKe
 MetaValue = bool | int | float | str
 
 
+# The kind of each exact metadata type. bool is its own kind though it
+# subclasses int: a boolean never compares equal to a number.
+_META_KINDS = {bool: "boolean", int: "number", float: "number", str: "string"}
+
+
 def meta_kind(value: object) -> str:
     """Classify a metadata value as ``boolean``, ``number``, or ``string``.
-
-    bool must be tested before int/float because it subclasses int; booleans
-    are their own kind and never compare equal to numbers here.
-    """
-    if isinstance(value, bool):
-        return "boolean"
+    A subclass of int, float or str (np.float64, say) is of its base's
+    kind; bool has no subclasses."""
+    kind = _META_KINDS.get(type(value))
+    if kind is not None:
+        return kind
     if isinstance(value, (int, float)):
         return "number"
     if isinstance(value, str):
@@ -112,9 +116,6 @@ def euclidean_distance(a: Vector, b: Vector) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
-_META_TYPES = frozenset((bool, int, float, str))
-
-
 def _validate_metadata(metadata: Mapping[str, MetaValue]) -> dict[str, MetaValue]:
     out: dict[str, MetaValue] = {}
     for key, value in metadata.items():
@@ -123,7 +124,7 @@ def _validate_metadata(metadata: Mapping[str, MetaValue]) -> dict[str, MetaValue
         # split() cuts at exactly the characters isspace() accepts
         if key.split() != [key]:
             raise ValueError(f"metadata key {key!r} contains whitespace")
-        if type(value) not in _META_TYPES:
+        if type(value) not in _META_KINDS:
             meta_kind(value)  # a subclass passes; others raise TypeError
         out[key] = value
     return out

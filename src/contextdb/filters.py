@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -98,14 +99,14 @@ class FilterExpr:
             if col is None:                     # no slot has the field
                 out[:] = False
                 break
-            kind, value = col.kind[:n][pool], col.value[:n][pool]
+            kind, value = (a[:n][pool] for a in col)
             pending = out & (kind != 0)  # has the field, no item matched yet
             held = np.zeros_like(out)
             compare = _COMPARE[clause.op]
             items = clause.value if clause.op is Op.IN else (clause.value,)
             for item in items:                  # matches() stops at a hit
                 item_kind = meta_kind(item)
-                bad = pending & (kind != _KINDS.index(item_kind))
+                bad = pending & (kind != _CODE_OF[item_kind])
                 if bad.any():
                     at = int(bad.argmax())
                     if first is None or at < first[0]:
@@ -157,37 +158,27 @@ def evaluate_filter(expr: FilterExpr, doc: Document) -> bool:
 # The kind of a stored value, coded as its index; 0 is a slot without the
 # field.
 _KINDS = ("missing", "boolean", "number", "string")
+_CODE_OF = {kind: code for code, kind in enumerate(_KINDS)}
 
 
-class _Column:
-    """One metadata field over the slots: a kind code per slot and the
-    value: a number as meta_number, a boolean as 0 or 1, and a string as
-    its interned code."""
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, size: int):
-        self.kind = np.zeros(size, dtype=np.int8)
-        self.value = np.zeros(size)
-
-    def grow(self, size: int) -> None:
-        for name in self.__slots__:
-            old = getattr(self, name)
-            new = np.zeros(size, dtype=old.dtype)
-            new[:old.shape[0]] = old
-            setattr(self, name, new)
+def _padded(arr: np.ndarray, size: int) -> np.ndarray:
+    """arr followed by zeros up to size."""
+    out = np.zeros(size, dtype=arr.dtype)
+    out[:arr.shape[0]] = arr
+    return out
 
 
 class MetaColumns:
-    """The metadata of a slot table's first count slots as one _Column per
-    field, for FilterExpr.mask. A string codes as its index among the
-    strings seen so far; the kind code keeps values of different kinds
-    apart."""
+    """The metadata of a slot table's first count slots, for FilterExpr.mask:
+    per field a kind code per slot (int8) and the value (float64), a number
+    as meta_number, a boolean as 0 or 1, and a string as its interned code,
+    its index among the strings seen so far. The kind code keeps values of
+    different kinds apart."""
 
     def __init__(self):
-        self.count = 0
+        self.count = 0                      # slots below it are encoded
         self.live = np.zeros(0, dtype=bool)
-        self.fields: dict[str, _Column] = {}
+        self.fields: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.strings: dict[str, int] = {}   # string -> its code
 
     def value_of(self, literal: MetaValue) -> float:
@@ -200,44 +191,37 @@ class MetaColumns:
     def encode(self, slots: list[int],
                metas: Sequence[Mapping[str, MetaValue] | None]) -> None:
         """(Re-)encode the given slots from their metadata, None for a dead
-        slot. The columns grow to cover them."""
+        slot, one field at a time. The columns grow to cover them."""
         if not slots:
             return
         size = self.live.shape[0]
         if max(slots) >= size:
             size = max(2 * size, max(slots) + 1, 64)
-            live = np.zeros(size, dtype=bool)
-            live[:self.live.shape[0]] = self.live
-            self.live = live
-            for col in self.fields.values():
-                col.grow(size)
+            self.live = _padded(self.live, size)
+            self.fields = {field: (_padded(kind, size), _padded(value, size))
+                           for field, (kind, value) in self.fields.items()}
         idx = np.array(slots)
-        for col in self.fields.values():
-            col.kind[idx] = 0
-        strings = self.strings
-        entries: dict[str, list[tuple[int, int, float]]] = {}
-        live_slots = []
-        for slot in slots:
-            meta = metas[slot]
-            if meta is None:
-                continue
-            live_slots.append(slot)
-            for field, value in meta.items():
-                kind = meta_kind(value)
-                if kind == "string":
-                    code = strings.setdefault(value, len(strings))
-                else:
-                    code = meta_number(value)
-                entries.setdefault(field, []).append(
-                    (slot, _KINDS.index(kind), code))
+        for kind, _ in self.fields.values():
+            kind[idx] = 0
+        live = [slot for slot in slots if metas[slot] is not None]
         self.live[idx] = False
-        self.live[live_slots] = True
-        for field, rows in entries.items():
+        self.live[live] = True
+        at: dict[str, list[int]] = defaultdict(list)
+        values: dict[str, list[MetaValue]] = defaultdict(list)
+        for slot in live:
+            for field, value in metas[slot].items():
+                at[field].append(slot)
+                values[field].append(value)
+        strings, string = self.strings, _CODE_OF["string"]
+        for field, vals in values.items():
+            kinds = [_CODE_OF[meta_kind(v)] for v in vals]
+            codes = [strings.setdefault(v, len(strings)) if k == string
+                     else meta_number(v) for k, v in zip(kinds, vals)]
             col = self.fields.get(field)
             if col is None:
-                col = self.fields[field] = _Column(size)
-            at, kind, value = (list(c) for c in zip(*rows))
-            col.kind[at], col.value[at] = kind, value
+                col = self.fields[field] = (np.zeros(size, dtype=np.int8),
+                                            np.zeros(size))
+            col[0][at[field]], col[1][at[field]] = kinds, codes
 
 
 # --- string grammar ---------------------------------------------------------

@@ -116,8 +116,7 @@ class SlotTable:
         self._fragments: list[bytes | None] = []  # None: not encoded yet
         self._base64: list[bytes | None] = []     # per block of 3 rows
         self.slot_of: dict[str, int] = {}
-        self._columns = MetaColumns()
-        self._encoded = 0              # slots below it are encoded ...
+        self._columns = MetaColumns()  # encoded below its count ...
         self._stale: set[int] = set()  # ... but for these
         self.encodings = 0
         self.fragment_encodings = 0
@@ -213,13 +212,13 @@ class SlotTable:
             for column in (self.ids, self.texts, self.metas, self._fragments):
                 column[slot] = column[last]
             self.slot_of[self.ids[slot]] = slot
-            if slot < self._encoded:
+            if slot < self._columns.count:
                 self._stale.add(slot)
         for column in (self.ids, self.texts, self.metas, self._fragments):
             column.pop()
         self._unencode(last)
         self.count = last
-        self._encoded = min(self._encoded, last)
+        self._columns.count = min(self._columns.count, last)
         self._normed = min(self._normed, last)
 
     def set_doc(self, slot: int, text: str | None,
@@ -228,7 +227,7 @@ class SlotTable:
         self.texts[slot] = text
         self.metas[slot] = meta
         self._fragments[slot] = None
-        if slot < self._encoded:
+        if slot < self._columns.count:
             self._stale.add(slot)
 
     def fragments(self) -> list[bytes | None]:
@@ -277,14 +276,14 @@ class SlotTable:
         them without bound."""
         cols = self._columns
         if len(cols.strings) > 2 * self.count * len(cols.fields) + 64:
-            self._columns, self._encoded = MetaColumns(), 0
-        todo = [s for s in self._stale if s < self._encoded]
-        todo += range(self._encoded, self.count)
-        self._columns.encode(todo, self.metas)
+            cols = self._columns = MetaColumns()
+        todo = [s for s in self._stale if s < cols.count]
+        todo += range(cols.count, self.count)
+        cols.encode(todo, self.metas)
         self.encodings += len(todo)
         self._stale.clear()
-        self._encoded = self._columns.count = self.count
-        return self._columns
+        cols.count = self.count
+        return cols
 
 
 class VectorIndex(ABC):

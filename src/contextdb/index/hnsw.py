@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -78,6 +78,11 @@ def _diversity_scan(cols: bytes, at: int, width: int, n: int,
         blocked |= int.from_bytes(cols[start:start + width], "little")
         i = k + 1
     return sel
+
+
+def _all_of(cls: type, values) -> bool:
+    """Whether each value is exactly a cls, not a subclass (bool of int)."""
+    return set(map(type, values)) <= {cls}
 
 
 class HnswIndex(VectorIndex):
@@ -318,17 +323,21 @@ class HnswIndex(VectorIndex):
                                ef_search=p["ef_search"], seed=p["seed"]))
         rows = unpack_array(state["vectors"])
         ids, alive, levels = state["ids"], state["alive"], state["levels"]
-        # every link int()-ed once, in one pass, then cut back into lists
-        raw = state["graph"]
-        links = np.fromiter(chain.from_iterable(chain.from_iterable(raw)),
-                            dtype=np.int64)
-        ints = iter(links.tolist())
-        index._graph = graph = [[list(islice(ints, len(nbs))) for nbs in node]
-                                for node in raw]
-        index._entry = entry = None if state["entry"] is None \
-            else int(state["entry"])
-        index._max_level = max_level = int(state["max_level"])
+        index._graph = graph = state["graph"]
+        index._entry = entry = state["entry"]
+        index._max_level = max_level = state["max_level"]
         index._rng.bit_generator.state = state["rng_state"]
+        # the graph is the payload's own lists; a link, level or entry
+        # point is a JSON integer, never a bool, float or string made one
+        layers_of = list(chain.from_iterable(graph))  # every node's layers
+        if not (_all_of(list, graph) and _all_of(list, layers_of)):
+            raise ValueError("graph must hold lists of layers of links")
+        links = list(chain.from_iterable(layers_of))
+        scalars = [max_level] if entry is None else [max_level, entry]
+        if not _all_of(int, chain(links, levels, scalars)):
+            raise ValueError("links, levels, entry and max_level must be "
+                             "integers")
+        links = np.array(links, dtype=np.int64)
         n = len(ids)
         if {len(rows), len(alive), len(levels), len(graph)} != {n}:
             raise ValueError("graph and slot table differ in size")
@@ -342,7 +351,7 @@ class HnswIndex(VectorIndex):
         tags = np.array(tops, dtype=np.int64)
         # a link in layer L must reach a slot whose level is L or more
         layers = np.repeat([lv for node in graph for lv in range(len(node))],
-                           [len(nbs) for node in graph for nbs in node])
+                           [len(nbs) for nbs in layers_of])
         if links.size and (links.min() < 0 or links.max() >= n or
                            (tags[links] < layers).any()):
             raise ValueError("a link does not match the graph")
@@ -352,7 +361,8 @@ class HnswIndex(VectorIndex):
         texts, metas, live = [None] * n, [None] * n, []
         for doc in state["docs"]:
             slot = doc["slot"]
-            if not (0 <= slot < n and alive[slot]) or ids[slot] != doc["id"]:
+            if type(slot) is not int or not (0 <= slot < n and alive[slot]) \
+                    or ids[slot] != doc["id"]:
                 raise ValueError(f"{doc['id']!r} is not live in slot {slot}")
             texts[slot], metas[slot] = doc["text"], doc["meta"]
             live.append(slot)

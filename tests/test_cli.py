@@ -28,6 +28,8 @@ def write_catalog(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
 
 
+DEMO_Q = "I need comfortable running shoes under $100"
+
 SHOES_JSONL = [
     {"id": "nike-zoomx", "text": "Nike ZoomX Infinity Run",
      "metadata": {"brand": "Nike", "price": 150}, "embedding": [1.2, 3.5]},
@@ -375,6 +377,50 @@ class TestBench:
                                 "--kind", "flat"], home)
         assert code == 1
         assert "--n must be >= 100" in err
+
+
+class TestIntegerFlags:
+    """An integer flag below its bound is a usage error: the usage and a
+    message naming the flag on stderr, exit 1, before the command runs."""
+
+    @staticmethod
+    def assert_usage_error(code, out, err, message):
+        assert code == 1, err
+        assert err.startswith("usage: contextdb ") and "Traceback" not in err
+        assert f"error: {message}" in err
+        assert out == ""
+
+    def test_ingest_dim_0(self, home, tmp_path):
+        catalog = tmp_path / "shoes.jsonl"
+        write_catalog(catalog, SHOES_JSONL)
+        self.assert_usage_error(*run_cli(
+            ["ingest", "--catalog", str(catalog), "--index",
+             str(tmp_path / "idx"), "--dim", "0"], home), "--dim must be >= 1")
+        assert not (tmp_path / "idx").exists()
+
+    def test_query_k_0(self, home, tmp_path):
+        catalog = tmp_path / "shoes.jsonl"
+        write_catalog(catalog, SHOES_JSONL)
+        index = str(tmp_path / "idx")
+        assert run_cli(["ingest", "--catalog", str(catalog), "--index", index,
+                        "--embedder", "fixture"], home)[0] == 0
+        self.assert_usage_error(*run_cli(
+            ["query", "--index", index, "--q", DEMO_Q, "--k", "0"], home),
+            "--k must be >= 1")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--k", "0", "--k must be >= 1"), ("--m", "1", "--m must be >= 2")])
+    def test_bench_flag_below_its_bound(self, home, flag, value, message):
+        args = {"--n": "300", "--dim": "8", "--k": "5", "--kind": "hnsw",
+                flag: value}
+        self.assert_usage_error(*run_cli(
+            ["bench", *(a for kv in args.items() for a in kv)], home), message)
+
+    def test_chat_k_0_fails_before_reading_stdin(self, home):
+        self.assert_usage_error(*run_cli(
+            ["chat", "--session", "s", "--user", "u", "--k", "0"], home,
+            stdin=DEMO_Q + "\n"), "--k must be >= 1")
+        assert not (home / "conversations.jsonl").exists()
 
 
 class TestParsing:

@@ -376,6 +376,34 @@ class TestMalformedPayload:
             load_index(path)
 
 
+def _set_link(payload, value):
+    payload["graph"][payload["entry"]][0][0] = value
+
+
+def _slot_as_bool(payload):
+    doc = next(d for d in payload["docs"] if d["slot"] in (0, 1))
+    doc["slot"] = bool(doc["slot"])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: _set_link(p, True),
+    lambda p: _set_link(p, 1.5),
+    lambda p: p.update(entry=str(p["entry"])),
+    lambda p: p.update(max_level=float(p["max_level"])),
+    lambda p: p.update(levels=[float(lv) for lv in p["levels"]]),
+    _slot_as_bool,
+], ids=["link-true", "link-float", "entry-string", "max_level-float",
+        "levels-float", "slot-true"])
+def test_hnsw_integer_fields_must_be_json_integers(tmp_path, edit):
+    """A bool, float or string where the graph holds an integer is corrupt,
+    not coerced: a link of 1.5 is not link 1."""
+    path = tmp_path / "j.snap"
+    snapshot_v1.build("hnsw").save(path)
+    rewrite_payload(path, edit)
+    with pytest.raises(SnapshotCorruptError, match="malformed"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("where", ["dead", "other"])
 def test_hnsw_document_outside_its_live_slot_is_corrupt(tmp_path, where):
     path = tmp_path / "d.snap"
