@@ -20,6 +20,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from .core import count
 from .filters import FilterExpr
 
 DEFAULT_CAPACITY = 1024
@@ -51,12 +52,8 @@ class CacheEntry:
 class ResponseCache:
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  default_ttl_ms: int = DEFAULT_TTL_MS):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if default_ttl_ms < 1:
-            raise ValueError(f"default ttl must be > 0, got {default_ttl_ms}")
-        self.capacity = capacity
-        self.default_ttl_ms = default_ttl_ms
+        self.capacity = count("capacity", capacity)
+        self.default_ttl_ms = count("default_ttl_ms", default_ttl_ms)
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         # no entry expires before this, so an eviction at an earlier now
         # need not look for an expired one
@@ -88,9 +85,7 @@ class ResponseCache:
     def put(self, key: str, value: str, now: int,
             ttl_ms: int | None = None) -> None:
         """Insert or overwrite; overwriting resets TTL and recency."""
-        ttl = self.default_ttl_ms if ttl_ms is None else ttl_ms
-        if ttl < 1:
-            raise ValueError(f"ttl must be > 0, got {ttl}")
+        ttl = self.default_ttl_ms if ttl_ms is None else count("ttl_ms", ttl_ms)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:

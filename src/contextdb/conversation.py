@@ -17,7 +17,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .core import MetaValue, _validate_metadata
+from .core import MetaValue, _validate_metadata, count
 from .jsonl import JsonlStore
 
 ROLES = ("user", "assistant", "system")
@@ -37,8 +37,7 @@ class Message:
             raise ValueError("session_id must be nonempty")
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        if self.seq < 0:
-            raise ValueError(f"seq must be >= 0, got {self.seq}")
+        count("seq", self.seq, least=0)
         object.__setattr__(self, "metadata",
                            MappingProxyType(_validate_metadata(self.metadata)))
 
@@ -106,8 +105,7 @@ class ConversationStore(JsonlStore):
 
     def get_history(self, session_id: str, last_n: int) -> list[Message]:
         """Last min(last_n, length) messages, ascending seq; [] when unknown."""
-        if last_n < 1:
-            raise ValueError(f"last_n must be >= 1, got {last_n}")
+        last_n = count("last_n", last_n)
         with self._lock:
             return list(self._sessions.get(session_id, [])[-last_n:])
 

@@ -25,6 +25,19 @@ MetaValue = bool | int | float | str
 _META_KINDS = {bool: "boolean", int: "number", float: "number", str: "string"}
 
 
+def count(name: str, value: object, least: int = 1) -> int:
+    """value as a plain int, for a knob or size that must be an integer of
+    at least least: an int or a numpy integer, never a bool, float or
+    string. Raises TypeError for the wrong type, ValueError below least."""
+    if type(value) is int and value >= least:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def meta_kind(value: object) -> str:
     """Classify a metadata value as ``boolean``, ``number``, or ``string``.
     A subclass of int, float or str (np.float64, say) is of its base's
@@ -90,6 +103,10 @@ class Vector:
 
     def __len__(self) -> int:
         return self.dim
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """numpy reads a Vector, or a list of them, as its coordinates."""
+        return np.array(self._values, dtype=dtype, copy=copy)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
@@ -188,8 +205,7 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> Vector:
     snapshots): sha256 over (seed, text) seeds a PCG64 generator, dim values
     are drawn from the standard normal, and the result is L2-normalized.
     """
-    if dim < 1:
-        raise ValueError(f"embedding dim must be >= 1, got {dim}")
+    dim = count("embedding dim", dim)
     digest = hashlib.sha256(f"{seed}\x1f{text}".encode("utf-8")).digest()
     rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "little")))
     raw = rng.standard_normal(dim)
@@ -204,9 +220,7 @@ class HashEmbedder(EmbeddingProvider):
     """Stand-in for a learned text encoder: hashed, seeded, unit-norm vectors."""
 
     def __init__(self, dim: int = 64, seed: int = 0):
-        if dim < 1:
-            raise ValueError(f"embedding dim must be >= 1, got {dim}")
-        self._dim = dim
+        self._dim = count("embedding dim", dim)
         self.seed = seed
 
     @property

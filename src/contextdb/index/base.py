@@ -22,7 +22,7 @@ from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import Document, MetaValue, Vector, _validate_metadata
+from ..core import Document, MetaValue, Vector, _validate_metadata, count
 from ..errors import DimensionMismatchError, EmptyIndexError
 from ..filters import FilterExpr, MetaColumns
 
@@ -460,8 +460,7 @@ class VectorIndex(ABC):
             raise EmptyIndexError(f"cannot search an empty {self.kind} index")
         if self._dim is not None and query.dim != self._dim:
             raise DimensionMismatchError(expected=self._dim, got=query.dim, what="query")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        count("k", k)
 
     # -- helpers -------------------------------------------------------------
 

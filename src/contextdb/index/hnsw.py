@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..core import Document
+from ..core import Document, count
 from .base import RawJson, VectorIndex, unpack_array
 
 
@@ -49,13 +49,10 @@ class HnswParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.ef_construction < 1:
-            raise ValueError(
-                f"ef_construction must be >= 1, got {self.ef_construction}")
-        if self.ef_search < 1:
-            raise ValueError(f"ef_search must be >= 1, got {self.ef_search}")
+        for name, least in (("m", 2), ("ef_construction", 1),
+                            ("ef_search", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               count(name, getattr(self, name), least))
 
 
 def _diversity_scan(cols: bytes, at: int, width: int, n: int,
@@ -272,10 +269,8 @@ class HnswIndex(VectorIndex):
         self._table.set_doc(slot, None, None)
 
     def _ef(self, ef_search: int | None) -> int:
-        ef = self.params.ef_search if ef_search is None else int(ef_search)
-        if ef < 1:
-            raise ValueError(f"ef_search must be >= 1, got {ef}")
-        return ef
+        return self.params.ef_search if ef_search is None \
+            else count("ef_search", ef_search)
 
     def _pool(self, q: np.ndarray, *, ef_search: int | None = None) -> slice:
         """Every slot: a filtered search ranks all matches exactly, so
@@ -318,9 +313,7 @@ class HnswIndex(VectorIndex):
 
     @classmethod
     def _from_state(cls, state: dict) -> "HnswIndex":
-        p = state["params"]
-        index = cls(HnswParams(m=p["m"], ef_construction=p["ef_construction"],
-                               ef_search=p["ef_search"], seed=p["seed"]))
+        index = cls(HnswParams(**state["params"]))
         rows = unpack_array(state["vectors"])
         ids, alive, levels = state["ids"], state["alive"], state["levels"]
         index._graph = graph = state["graph"]
@@ -366,6 +359,9 @@ class HnswIndex(VectorIndex):
                 raise ValueError(f"{doc['id']!r} is not live in slot {slot}")
             texts[slot], metas[slot] = doc["text"], doc["meta"]
             live.append(slot)
+        if not _all_of(bool, alive) or \
+                sorted(live) != [s for s in range(n) if alive[s]]:
+            raise ValueError("alive does not match the documents' slots")
         index._table.extend(ids, rows, texts, metas, tags, live)
         if n:
             index._dim = rows.shape[1]

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Document, Vector
+from ..core import Document, Vector, count
 from ..errors import NotTrainedError, TrainingDataError
 from .base import VectorIndex, pack_array, screen_bound, unpack_array
 
@@ -37,13 +37,11 @@ class IvfParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nlist is not None and self.nlist < 1:
-            raise ValueError(f"nlist must be >= 1, got {self.nlist}")
-        if self.nprobe is not None and self.nprobe < 1:
-            raise ValueError(f"nprobe must be >= 1, got {self.nprobe}")
-        if self.kmeans_iters < 1:
-            raise ValueError(
-                f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
+        for name, least in (("nlist", 1), ("nprobe", 1),
+                            ("kmeans_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None or name in ("kmeans_iters", "seed"):
+                object.__setattr__(self, name, count(name, value, least))
 
 
 def _kmeans(x: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
@@ -102,17 +100,13 @@ class IvfIndex(VectorIndex):
         with self._lock:
             if self._centroids is not None:
                 raise ValueError("index is already trained")
-            if isinstance(vectors, np.ndarray):
-                x = np.asarray(vectors, dtype=np.float64)
-                if x.ndim != 2:
-                    raise ValueError(
-                        f"training array must be 2-D, got shape {x.shape}")
-            else:
-                x = np.stack([v.values for v in vectors]) if len(vectors) \
-                    else np.zeros((0, 1))
-            n = x.shape[0]
-            if n == 0:
+            x = np.asarray(vectors, dtype=np.float64)
+            if x.shape[:1] == (0,):
                 raise TrainingDataError(required=1, got=0)
+            if x.ndim != 2 or not np.isfinite(x).all():
+                raise ValueError("training data must be a finite 2-D array, "
+                                 f"got shape {x.shape}")
+            n = x.shape[0]
             nlist = self.params.nlist or math.ceil(math.sqrt(n))
             if n < nlist:
                 raise TrainingDataError(required=nlist, got=n)
@@ -120,6 +114,10 @@ class IvfIndex(VectorIndex):
                                         self.params.seed))
 
     def _set_centroids(self, centroids: np.ndarray) -> None:
+        if centroids.ndim != 2 or not centroids.size or \
+                not np.isfinite(centroids).all():
+            raise ValueError("centroids must be a nonempty finite 2-D "
+                             f"matrix, got shape {centroids.shape}")
         # the base check: this very call is what trains the index
         super()._check_insert_dim(centroids.shape[1])
         self._centroids = centroids
@@ -134,9 +132,7 @@ class IvfIndex(VectorIndex):
 
     @classmethod
     def _from_state(cls, state: dict) -> "IvfIndex":
-        p = state["params"]
-        index = cls(IvfParams(nlist=p["nlist"], nprobe=p["nprobe"],
-                              kmeans_iters=p["kmeans_iters"], seed=p["seed"]))
+        index = cls(IvfParams(**state["params"]))
         if state["centroids"] is not None:
             # adopt the fitted centroids; assignment is deterministic
             index._set_centroids(unpack_array(state["centroids"]))
@@ -203,10 +199,9 @@ class IvfIndex(VectorIndex):
         """The slots, ascending, of the nprobe lists whose centroids are
         nearest to q."""
         if nprobe is None:
-            nprobe = self.params.nprobe if self.params.nprobe is not None \
-                else min(8, self.nlist)
-        if nprobe < 1:
-            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
+            nprobe = self.params.nprobe or min(8, self.nlist)
+        else:
+            nprobe = count("nprobe", nprobe)
         diff = self._centroids - q
         cd = np.einsum("ij,ij->i", diff, diff)
         probed = np.zeros(self.nlist, dtype=bool)

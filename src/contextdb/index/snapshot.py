@@ -155,15 +155,17 @@ def load_index(path: str | Path) -> VectorIndex:
         payload = json.loads(body[_HEADER.size:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotCorruptError(f"{path}: bad payload: {exc}") from exc
+    # every kind's "docs" lists its live documents, one each
+    docs = payload.get("docs") if isinstance(payload, dict) else None
+    if isinstance(docs, list) and len(docs) != count:
+        raise SnapshotCorruptError(
+            f"{path}: header says {count} documents, payload has {len(docs)}")
     try:
         index = kind._from_state(payload)
     except (LookupError, TypeError, ValueError, AttributeError,
             OverflowError, ContextDbError) as exc:
         raise SnapshotCorruptError(f"{path}: malformed {kind.kind} payload: "
                                    f"{type(exc).__name__}: {exc}") from exc
-    if len(index) != count:
-        raise SnapshotCorruptError(
-            f"{path}: header says {count} documents, payload has {len(index)}")
     if (index.dim or 0) != dim:
         raise SnapshotCorruptError(
             f"{path}: header says dim {dim}, payload has {index.dim}")

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 from .cache import ResponseCache, make_cache_key
 from .conversation import ConversationStore, Message
-from .core import Document, EmbeddingProvider, MetaValue, fmt_meta
+from .core import Document, EmbeddingProvider, MetaValue, count, fmt_meta
 from .errors import StageError, StorageError, TemplateError
 from .filters import FilterExpr
 from .index.base import SearchHit, VectorIndex
@@ -182,9 +182,6 @@ class Pipeline:
                  template: PromptTemplate | None = None,
                  history_window: int = 10,
                  clock: Callable[[], float] = time.time):
-        if history_window < 1:
-            raise ValueError(
-                f"history_window must be >= 1, got {history_window}")
         self.index = index
         self.conversations = conversations
         self.profiles = profiles
@@ -192,7 +189,7 @@ class Pipeline:
         self.llm = llm
         self.cache = cache if cache is not None else ResponseCache()
         self.template = template if template is not None else DEFAULT_TEMPLATE
-        self.history_window = history_window
+        self.history_window = count("history_window", history_window)
         self._clock = clock
 
     def _now_ms(self) -> int:

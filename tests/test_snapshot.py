@@ -421,6 +421,25 @@ def test_hnsw_document_outside_its_live_slot_is_corrupt(tmp_path, where):
         load_index(path)
 
 
+@pytest.mark.parametrize("how", ["live-without-a-doc", "integers"])
+def test_hnsw_alive_must_be_the_slots_the_documents_fill(tmp_path, how):
+    """A slot marked live with no document would load as a tombstone; 0/1
+    integers are not the booleans alive holds."""
+    path = tmp_path / "a.snap"
+    snapshot_v1.build("hnsw").save(path)
+
+    def edit(payload):
+        alive = payload["alive"]
+        if how == "live-without-a-doc":
+            alive[alive.index(False)] = True
+        else:
+            payload["alive"] = [int(a) for a in alive]
+
+    rewrite_payload(path, edit)
+    with pytest.raises(SnapshotCorruptError, match="alive does not match"):
+        load_index(path)
+
+
 # -- saves from cached fragments ---------------------------------------------
 
 ODD_STRINGS = ['quo"te', "back\\slash\\", "line\u2028sep\u2029",
