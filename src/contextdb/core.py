@@ -104,10 +104,6 @@ class Vector:
     def __len__(self) -> int:
         return self.dim
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """numpy reads a Vector, or a list of them, as its coordinates."""
-        return np.array(self._values, dtype=dtype, copy=copy)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented

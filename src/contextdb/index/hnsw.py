@@ -313,7 +313,9 @@ class HnswIndex(VectorIndex):
 
     @classmethod
     def _from_state(cls, state: dict) -> "HnswIndex":
-        index = cls(HnswParams(**state["params"]))
+        p = state["params"]
+        index = cls(HnswParams(m=p["m"], ef_construction=p["ef_construction"],
+                               ef_search=p["ef_search"], seed=p["seed"]))
         rows = unpack_array(state["vectors"])
         ids, alive, levels = state["ids"], state["alive"], state["levels"]
         index._graph = graph = state["graph"]

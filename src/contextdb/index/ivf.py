@@ -37,11 +37,12 @@ class IvfParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("nlist", 1), ("nprobe", 1),
-                            ("kmeans_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value is not None or name in ("kmeans_iters", "seed"):
-                object.__setattr__(self, name, count(name, value, least))
+        for name in ("nlist", "nprobe"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, count(name, value))
+        object.__setattr__(self, "kmeans_iters",
+                           count("kmeans_iters", self.kmeans_iters))
+        object.__setattr__(self, "seed", count("seed", self.seed, 0))
 
 
 def _kmeans(x: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
@@ -100,7 +101,8 @@ class IvfIndex(VectorIndex):
         with self._lock:
             if self._centroids is not None:
                 raise ValueError("index is already trained")
-            x = np.asarray(vectors, dtype=np.float64)
+            x = np.asarray(vectors if isinstance(vectors, np.ndarray)
+                           else [v.values for v in vectors], dtype=np.float64)
             if x.shape[:1] == (0,):
                 raise TrainingDataError(required=1, got=0)
             if x.ndim != 2 or not np.isfinite(x).all():
@@ -132,7 +134,9 @@ class IvfIndex(VectorIndex):
 
     @classmethod
     def _from_state(cls, state: dict) -> "IvfIndex":
-        index = cls(IvfParams(**state["params"]))
+        p = state["params"]
+        index = cls(IvfParams(nlist=p["nlist"], nprobe=p["nprobe"],
+                              kmeans_iters=p["kmeans_iters"], seed=p["seed"]))
         if state["centroids"] is not None:
             # adopt the fitted centroids; assignment is deterministic
             index._set_centroids(unpack_array(state["centroids"]))
@@ -198,10 +202,8 @@ class IvfIndex(VectorIndex):
               nprobe: int | None = None) -> np.ndarray:
         """The slots, ascending, of the nprobe lists whose centroids are
         nearest to q."""
-        if nprobe is None:
-            nprobe = self.params.nprobe or min(8, self.nlist)
-        else:
-            nprobe = count("nprobe", nprobe)
+        nprobe = count("nprobe", nprobe) if nprobe is not None \
+            else self.params.nprobe or min(8, self.nlist)
         diff = self._centroids - q
         cd = np.einsum("ij,ij->i", diff, diff)
         probed = np.zeros(self.nlist, dtype=bool)

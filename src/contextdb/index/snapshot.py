@@ -166,6 +166,9 @@ def load_index(path: str | Path) -> VectorIndex:
             OverflowError, ContextDbError) as exc:
         raise SnapshotCorruptError(f"{path}: malformed {kind.kind} payload: "
                                    f"{type(exc).__name__}: {exc}") from exc
+    if len(index) != count:
+        raise SnapshotCorruptError(
+            f"{path}: header says {count} documents, payload has {len(index)}")
     if (index.dim or 0) != dim:
         raise SnapshotCorruptError(
             f"{path}: header says dim {dim}, payload has {index.dim}")

@@ -1,9 +1,10 @@
 """The one count rule (core.count) at every knob and size it guards.
 
 A count is an int or a numpy integer at or above its bound, and where it
-is stored, it is stored as a plain int. A bool, a float or a string is a TypeError, and a value
-below the bound is a ValueError that names the knob. Snapshots and
-training data get the same rule through the params and centroid checks."""
+is stored, it is stored as a plain int. A bool, a float or a string is a
+TypeError, and a value below the bound is a ValueError that names the
+knob. Snapshots and training data get the same rule through the params
+and centroid checks."""
 
 from dataclasses import asdict
 
@@ -191,3 +192,34 @@ def test_training_data_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         ivf.train(rows)
     assert not ivf.trained
+
+
+@pytest.mark.parametrize("kind,key", [("hnsw", "m"), ("hnsw", "seed"),
+                                      ("ivf", "nprobe"), ("ivf", "nlist")])
+def test_a_snapshot_param_that_is_missing_is_corrupt(tmp_path, kind, key):
+    """A missing param must not load as its default: an ivf index without
+    its nprobe would probe min(8, nlist) lists, not the saved count."""
+    path = tmp_path / "p.snap"
+    snapshot_v1.build(kind).save(path)
+    rewrite_payload(path, lambda p: p["params"].pop(key))
+    with pytest.raises(SnapshotCorruptError, match=f"malformed.*{key}"):
+        load_index(path)
+
+
+def test_untrained_ivf_documents_are_not_dropped(tmp_path):
+    """Null centroids with documents under a matching header count: the
+    load must refuse them, not yield an empty index."""
+    path = tmp_path / "u.snap"
+    snapshot_v1.build("ivf").save(path)
+    rewrite_payload(path, lambda p: p.update(centroids=None))
+    with pytest.raises(SnapshotCorruptError, match="payload has 0"):
+        load_index(path)
+
+
+def test_training_from_vectors_and_from_an_array_agree():
+    rows = unit_rows(np.random.default_rng(4), 60, 4)
+    from_array, from_vectors = IvfIndex(IvfParams(nlist=5)), \
+        IvfIndex(IvfParams(nlist=5))
+    from_array.train(rows)
+    from_vectors.train([Vector(row) for row in rows])
+    assert np.array_equal(from_array.centroids, from_vectors.centroids)
