@@ -25,7 +25,7 @@ import numpy as np
 from .cache import DEFAULT_CAPACITY, DEFAULT_TTL_MS, ResponseCache
 from .conversation import ConversationStore
 from .core import (Document, EmbeddingProvider, FixtureEmbedder, HashEmbedder,
-                   Vector, fixture_embed, fmt_meta)
+                   Vector, count, fixture_embed, fmt_meta)
 from .errors import CatalogError, ContextDbError, FilterParseError, StageError
 from .filters import parse_filter
 from .index import (FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams,
@@ -98,19 +98,16 @@ def load_config(path: Path | None = None) -> dict[str, str]:
 def _config_int(flag: int | None, config: dict[str, str], key: str,
                default: int | None, least: int | None = 1) -> int | None:
     """flag if given, else config's value for key as an int, else default.
-    A config value that is not an int, or is below least, is a data error
-    (CatalogError) that names the key."""
+    A config value that is not an int, or is below least (None: no bound),
+    is a data error (CatalogError) that names the key."""
     if flag is not None or key not in config:
         return default if flag is None else flag
     text = config[key]
     try:
         value = int(text)
-    except ValueError:
-        value = None
-    if value is None or (least is not None and value < least):
-        want = "an integer" if least is None else f"an integer >= {least}"
-        raise CatalogError(f"config {key} = {text!r}: expected {want}")
-    return value
+        return value if least is None else count(key, value, least)
+    except ValueError as exc:
+        raise CatalogError(f"config {key} = {text!r}: {exc}") from None
 
 
 def _fmt_metadata(metadata) -> str:
@@ -156,7 +153,7 @@ def cmd_ingest(args) -> int:
 
     catalog_path = Path(args.catalog)
     index = FlatIndex()
-    count = 0
+    ingested = 0
     with open(catalog_path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -177,8 +174,8 @@ def cmd_ingest(args) -> int:
                 print(f"warning: line {lineno}: {exc}; skipped",
                       file=sys.stderr)
                 continue
-            count += 1
-    if count == 0:
+            ingested += 1
+    if ingested == 0:
         raise CatalogError(f"no valid records in {catalog_path}")
 
     index_dir = Path(args.index)
@@ -187,7 +184,7 @@ def cmd_ingest(args) -> int:
     (index_dir / EMBEDDER_META_NAME).write_text(json.dumps(
         {"embedder": choice, "dim": embedder.dim, "seed": seed,
          "kind": index.kind}) + "\n", encoding="utf-8")
-    print(f"ingested {count} documents into {index_dir}")
+    print(f"ingested {ingested} documents into {index_dir}")
     return 0
 
 
@@ -377,13 +374,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _AtLeast(argparse.Action):
-    """Stores an int flag (type=int), which must be at least const: a
-    smaller one is a usage error that names the flag."""
+    """Stores an int flag (type=int), which must pass count with least
+    const: a smaller one is a usage error that names the flag."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < self.const:
-            parser.error(f"{option_string} must be >= {self.const}, "
-                         f"got {value}")
+        try:
+            value = count(option_string, value, self.const)
+        except ValueError as exc:
+            parser.error(str(exc))
         setattr(namespace, self.dest, value)
 
 
@@ -431,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _int_flag(p, "--dim", required=True)
     _int_flag(p, "--k", required=True)
     p.add_argument("--kind", choices=["flat", "hnsw", "ivf"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _int_flag(p, "--seed", 0, default=0)
     _int_flag(p, "--m", 2, default=16)
     _int_flag(p, "--ef-construction", default=200)
     _int_flag(p, "--ef-search", default=64)

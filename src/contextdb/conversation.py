@@ -14,7 +14,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from .core import MetaValue, _validate_metadata, count
@@ -33,13 +32,15 @@ class Message:
     metadata: Mapping[str, MetaValue] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.session_id:
-            raise ValueError("session_id must be nonempty")
+        if not isinstance(self.session_id, str) or not self.session_id:
+            raise ValueError("session_id must be a nonempty string")
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
+        if not isinstance(self.text, str):
+            raise TypeError("message text must be a string")
         count("seq", self.seq, least=0)
-        object.__setattr__(self, "metadata",
-                           MappingProxyType(_validate_metadata(self.metadata)))
+        count("timestamp", self.timestamp, least=0)
+        object.__setattr__(self, "metadata", _validate_metadata(self.metadata))
 
 
 class ConversationStore(JsonlStore):

@@ -129,7 +129,9 @@ def euclidean_distance(a: Vector, b: Vector) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
-def _validate_metadata(metadata: Mapping[str, MetaValue]) -> dict[str, MetaValue]:
+def _validate_metadata(metadata: Mapping[str, MetaValue]) -> Mapping[str, MetaValue]:
+    """A read-only copy of metadata: keys nonempty strings without
+    whitespace (else ValueError), values MetaValues (else TypeError)."""
     out: dict[str, MetaValue] = {}
     for key, value in metadata.items():
         if not isinstance(key, str) or not key:
@@ -140,7 +142,7 @@ def _validate_metadata(metadata: Mapping[str, MetaValue]) -> dict[str, MetaValue
         if type(value) not in _META_KINDS:
             meta_kind(value)  # a subclass passes; others raise TypeError
         out[key] = value
-    return out
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ class Document:
             raise TypeError("document text must be a string")
         if not isinstance(self.embedding, Vector):
             raise TypeError("document embedding must be a Vector")
-        object.__setattr__(self, "metadata", MappingProxyType(_validate_metadata(self.metadata)))
+        object.__setattr__(self, "metadata", _validate_metadata(self.metadata))
 
     @classmethod
     def _trusted(cls, doc_id: str, text: str,

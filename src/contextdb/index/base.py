@@ -17,7 +17,6 @@ import threading
 from abc import ABC
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -168,7 +167,7 @@ class SlotTable:
             raise TypeError("document text must be a string")
         frozen: list[Mapping[str, MetaValue] | None] = [None] * n
         for s in live:
-            frozen[s] = MappingProxyType(_validate_metadata(metas[s]))
+            frozen[s] = _validate_metadata(metas[s])
         self._data = np.require(rows, np.float64, "CWO")
         self._norms = np.zeros(n)
         self._tags = np.array(tags, dtype=np.int64)

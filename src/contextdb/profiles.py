@@ -15,10 +15,9 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .core import MetaValue, _validate_metadata, meta_kind, meta_number
+from .core import MetaValue, _validate_metadata, count, meta_kind, meta_number
 from .errors import ProfileNotFoundError
 from .jsonl import JsonlStore
 
@@ -34,10 +33,10 @@ class Profile:
     updated_at: int = 0  # milliseconds since the Unix epoch
 
     def __post_init__(self):
-        if not self.user_id:
-            raise ValueError("user_id must be nonempty")
-        object.__setattr__(self, "fields",
-                           MappingProxyType(_validate_metadata(self.fields)))
+        if not isinstance(self.user_id, str) or not self.user_id:
+            raise ValueError("user_id must be a nonempty string")
+        count("updated_at", self.updated_at, least=0)
+        object.__setattr__(self, "fields", _validate_metadata(self.fields))
 
 
 def _eq_key(value: MetaValue) -> tuple[str, MetaValue]:

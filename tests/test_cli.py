@@ -319,6 +319,21 @@ class TestChat:
         with ConversationStore(home / "conversations.jsonl") as reopened:
             assert reopened.count("s") == 3
 
+    @pytest.mark.parametrize("log,key,record", [
+        ("conversations.jsonl", "session_id",
+         {"seq": 0, "role": "user", "text": "a", "timestamp": 0,
+          "metadata": {}}),
+        ("profiles.jsonl", "user_id", {"fields": {}, "updated_at": 0})])
+    def test_a_bad_log_record_is_a_data_error(self, home, log, key, record):
+        # line 1's id is a list, which the replay cannot use as a key
+        home.mkdir(parents=True)
+        (home / log).write_text(json.dumps({key: ["a"], **record}) + "\n"
+                                + json.dumps({key: "b", **record}) + "\n")
+        code, out, err = run_cli(["chat", "--session", "s", "--user", "u"],
+                                 home, stdin="hello\n")
+        assert code == 2 and out == ""
+        assert f"{log}:1: corrupt record" in err and "Traceback" not in err
+
     def test_a_held_profile_log_closes_the_conversation_log(
             self, home, monkeypatch, capsys):
         home.mkdir(parents=True)
@@ -415,6 +430,11 @@ class TestIntegerFlags:
                 flag: value}
         self.assert_usage_error(*run_cli(
             ["bench", *(a for kv in args.items() for a in kv)], home), message)
+
+    def test_bench_seed_below_0(self, home):
+        self.assert_usage_error(*run_cli(
+            ["bench", "--n", "100", "--dim", "8", "--k", "5", "--kind", "flat",
+             "--seed", "-1"], home), "--seed must be >= 0, got -1")
 
     def test_chat_k_0_fails_before_reading_stdin(self, home):
         self.assert_usage_error(*run_cli(

@@ -274,6 +274,32 @@ class TestRecovery:
         with pytest.raises(StorageError):
             ConversationStore(store_path)
 
+    @pytest.mark.parametrize("name,value", [
+        ("timestamp", "soon"), ("timestamp", -1), ("timestamp", 1.5),
+        ("session_id", ["a"]), ("session_id", 5), ("text", ["x"])])
+    def test_a_bad_record_field_is_refused_with_its_line(self, store_path,
+                                                         name, value):
+        # line 1 is bad, so it is not the final line that heals as torn
+        good = {"session_id": "s", "seq": 0, "role": "user", "text": "a",
+                "timestamp": 1000, "metadata": {}}
+        bad = dict(good, **{name: value})
+        store_path.write_text(json.dumps(bad) + "\n"
+                              + json.dumps(dict(good, session_id="t")) + "\n")
+        raw = store_path.read_bytes()
+        with pytest.raises(StorageError, match=f":1: corrupt record: .*{name}"):
+            ConversationStore(store_path)
+        assert store_path.read_bytes() == raw
+
+    def test_a_final_record_with_a_bad_field_heals_as_torn(self, store_path):
+        self._fill(store_path, n=2)
+        rec = json.loads(store_path.read_bytes().splitlines()[1])
+        rec.update(seq=2, timestamp="soon")
+        store_path.write_bytes(store_path.read_bytes()
+                               + json.dumps(rec).encode() + b"\n")
+        with ConversationStore(store_path) as store:
+            assert store.count("s") == 2
+            assert store.append_message("s", "user", "m2").seq == 2
+
     def test_missing_file_starts_empty(self, store_path):
         with ConversationStore(store_path) as store:
             assert store.list_sessions() == []

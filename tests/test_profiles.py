@@ -227,6 +227,21 @@ class TestDurability:
         with pytest.raises(StorageError):
             ProfileStore(store_path)
 
+    @pytest.mark.parametrize("name,value", [
+        ("updated_at", "x"), ("updated_at", -1), ("updated_at", True),
+        ("user_id", ["u"]), ("user_id", 5)])
+    def test_a_bad_record_field_is_refused_with_its_line(self, store_path,
+                                                         name, value):
+        # line 1 is bad, so it is not the final line that heals as torn
+        good = {"user_id": "u1", "fields": {"a": 1}, "updated_at": 1000}
+        bad = dict(good, **{name: value})
+        store_path.write_text(json.dumps(bad) + "\n"
+                              + json.dumps(dict(good, user_id="u2")) + "\n")
+        raw = store_path.read_bytes()
+        with pytest.raises(StorageError, match=f":1: corrupt record: .*{name}"):
+            ProfileStore(store_path)
+        assert store_path.read_bytes() == raw
+
     def test_on_disk_format(self, store_path):
         with ProfileStore(store_path) as store:
             store.put_profile("u1", {"a": 1})
