@@ -2,9 +2,9 @@
 
 Every operation takes `now` (milliseconds) explicitly -- the cache never
 reads wall-clock time itself, so TTL behavior is exactly reproducible in
-tests. A key is served only while now < inserted_at + ttl. When a put needs
-room, one entry is evicted: the least-recently-used expired entry if any
-exists, otherwise the least-recently-used entry outright.
+tests. A key is served only while now < expires_at (now + ttl at its
+put). When a put needs room, one entry is evicted: the least-recently-used
+expired entry if any exists, otherwise the least-recently-used entry outright.
 
 Keys are per-user fingerprints of the canonicalized question
 (trimmed, lowercased, whitespace-collapsed) so personalized answers never
@@ -42,11 +42,10 @@ def make_cache_key(user_id: str, question: str,
 @dataclass
 class CacheEntry:
     value: str
-    inserted_at: int
-    ttl: int
+    expires_at: int
 
     def expired(self, now: int) -> bool:
-        return now >= self.inserted_at + self.ttl
+        return now >= self.expires_at
 
 
 class ResponseCache:
@@ -87,17 +86,11 @@ class ResponseCache:
         """Insert or overwrite; overwriting resets TTL and recency."""
         ttl = self.default_ttl_ms if ttl_ms is None else count("ttl_ms", ttl_ms)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry.value = value
-                entry.inserted_at = now
-                entry.ttl = ttl
-                self._entries.move_to_end(key)
-            else:
-                if len(self._entries) >= self.capacity:
-                    self._evict_one(now)
-                self._entries[key] = CacheEntry(value=value, inserted_at=now,
-                                                ttl=ttl)
+            if key not in self._entries and len(self._entries) >= self.capacity:
+                self._evict_one(now)
+            # an existing key keeps its slot, then moves to the MRU end
+            self._entries[key] = CacheEntry(value, now + ttl)
+            self._entries.move_to_end(key)
             self._expiry_floor = min(self._expiry_floor, now + ttl)
 
     def _evict_one(self, now: int) -> None:
@@ -107,7 +100,7 @@ class ResponseCache:
                     del self._entries[key]
                     return
             # nothing expired: tighten the floor to the exact earliest expiry
-            self._expiry_floor = min(e.inserted_at + e.ttl
+            self._expiry_floor = min(e.expires_at
                                      for e in self._entries.values())
         self._entries.popitem(last=False)
 

@@ -75,13 +75,18 @@ def data_home() -> Path:
 
 def load_config(path: Path | None = None) -> dict[str, str]:
     """`key = value` lines; blank lines and #-comments ignored; quotes around
-    a value are stripped."""
+    a value are stripped. A file that is not UTF-8 is a data error
+    (CatalogError) that names it."""
     if path is None:
         path = data_home() / "config"
     if not path.exists():
         return {}
+    try:
+        text = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"config {path}: {exc}") from None
     config: dict[str, str] = {}
-    for raw in path.read_text("utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -154,12 +159,12 @@ def cmd_ingest(args) -> int:
     catalog_path = Path(args.catalog)
     index = FlatIndex()
     ingested = 0
-    with open(catalog_path, encoding="utf-8") as fh:
+    with open(catalog_path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
-                rec = json.loads(raw)
+                rec = json.loads(raw.decode("utf-8"))
                 if not isinstance(rec, dict):
                     raise ValueError("record is not an object")
                 doc_id, text = rec["id"], rec["text"]
@@ -285,15 +290,15 @@ def cmd_chat(args) -> int:
             index=index, conversations=conversations, profiles=profiles,
             embedder=embedder, llm=MockLlm(), cache=cache,
             history_window=history_window)
-        for raw in sys.stdin:
-            question = raw.strip()
-            if not question:
-                continue
+        for raw in sys.stdin.buffer:
             try:
+                question = raw.decode("utf-8").strip()
+                if not question:
+                    continue
                 resp = pipeline.handle_query(args.session, args.user,
                                              question, k=k,
                                              filt=filt if filt else None)
-            except StageError as exc:
+            except (UnicodeDecodeError, StageError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 continue
             print(resp.text)

@@ -3,7 +3,7 @@
 One JSONL file holds every session; each line is exactly
 {session_id, seq, role, text, timestamp, metadata}. The store assigns seq
 (contiguous from 0 per session) and timestamp (non-decreasing per session),
-so callers can never race a sequence number. Recovery (see jsonl.JsonlLog)
+so callers can never race a sequence number. Recovery (see jsonl.JsonlStore)
 heals a torn final line and refuses corruption anywhere earlier, as well as
 a gap in any session's seq.
 """
@@ -63,20 +63,18 @@ class ConversationStore(JsonlStore):
 
     def append_message(self, session_id: str, role: str, text: str,
                        metadata: Mapping[str, MetaValue] | None = None) -> Message:
-        """Durably append one message; the store assigns seq and timestamp."""
-        with self._lock:
+        """Durably append one message; the store assigns seq and timestamp.
+        Outside a batch it is a batch of one; inside one it is part of it."""
+        with self.batch():
             history = self._sessions.get(session_id, [])
             now = int(self._clock() * 1000)
             if history:
                 now = max(now, history[-1].timestamp)
             msg = Message(session_id=session_id, seq=len(history), role=role,
                           text=text, timestamp=now, metadata=metadata or {})
-            if self._staged is None:
-                self._log.append(msg)
-            else:
-                self._staged.append(msg)
-            # memory is updated only after the bytes are down (in a batch,
-            # undone if they never go down)
+            self._staged.append(msg)
+            # memory runs ahead of the file; batch() undoes it if the bytes
+            # never go down
             self._sessions.setdefault(session_id, history).append(msg)
             return msg
 
@@ -94,7 +92,7 @@ class ConversationStore(JsonlStore):
             try:
                 yield
                 if staged:
-                    self._log.append(*staged)
+                    self._append(*staged)
             except BaseException:
                 for msg in reversed(staged):
                     self._sessions[msg.session_id].pop()

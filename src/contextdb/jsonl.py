@@ -30,7 +30,10 @@ from .errors import StorageError
 logger = logging.getLogger(__name__)
 
 
-class JsonlLog:
+class JsonlStore:
+    """Base of both durable stores, each kept in one log that it replays on
+    open; close(), or leaving a `with` block, fsyncs and closes it."""
+
     def __init__(self, path: str | Path, record: type,
                  apply: Callable[[Any], None]):
         """Open the file at path for appending, creating it if missing, and
@@ -40,6 +43,7 @@ class JsonlLog:
         record is a dataclass: each line is one instance, as an object with
         its fields in order. apply installs a replayed record and raises
         ValueError to refuse it (for example, a sequence gap)."""
+        self._lock = threading.RLock()
         self.path = Path(path)
         self._names = [f.name for f in fields(record)]
         self._fields_of = attrgetter(*self._names)
@@ -87,7 +91,7 @@ class JsonlLog:
             logger.warning("%s: dropped a torn final line (%d bytes)",
                            self.path, len(raw) - good)
 
-    def append(self, *records: Any) -> None:
+    def _append(self, *records: Any) -> None:
         """Write the records, one line each, to the OS in one write: all of
         them, or on failure none."""
         # default=dict writes the read-only mapping fields as objects
@@ -111,23 +115,10 @@ class JsonlLog:
 
     def close(self) -> None:
         """fsync and close the log, which releases its lock."""
-        if not self._fh.closed:
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-
-
-class JsonlStore:
-    """Base of the stores kept in one JsonlLog: it replays the log on open,
-    and close(), or leaving a `with` block, fsyncs and closes it."""
-
-    def __init__(self, path: str | Path, record: type,
-                 apply: Callable[[Any], None]):
-        self._lock = threading.RLock()
-        self._log = JsonlLog(path, record, apply)
-
-    def close(self) -> None:
         with self._lock:
-            self._log.close()
+            if not self._fh.closed:
+                os.fsync(self._fh.fileno())
+                self._fh.close()
 
     def __enter__(self):
         return self

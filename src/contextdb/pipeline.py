@@ -209,8 +209,11 @@ class Pipeline:
             finally:
                 timings[stage] = (time.perf_counter() - t0) * 1000.0
 
-        key = make_cache_key(user_id, question, filt)
-        hit_text = run("cache", lambda: self.cache.get(key, self._now_ms()))
+        def cache_step():
+            key = make_cache_key(user_id, question, filt)
+            return key, self.cache.get(key, self._now_ms())
+
+        key, hit_text = run("cache", cache_step)
         if hit_text is not None:
             return PipelineResponse(text=hit_text, cached=True, retrieved=(),
                                     latency_breakdown=dict(timings))

@@ -1,6 +1,6 @@
 """Situational tier: user-profile records, read-heavy and occasionally updated.
 
-Persistence is snapshot-on-write JSONL (see jsonl.JsonlLog) -- every write
+Persistence is snapshot-on-write JSONL (see jsonl.JsonlStore) -- every write
 appends the full profile as one line, and recovery keeps the last line per
 user_id. The store maintains an equality index per field so query_by_field
 is a lookup rather than a scan. Equality respects MetaValue kinds: the
@@ -71,7 +71,7 @@ class ProfileStore(JsonlStore):
             self._warn_kind_changes(old, fields)
             now = max(now, old.updated_at + 1)  # must strictly increase
         prof = Profile(user_id=user_id, fields=fields, updated_at=now)
-        self._log.append(prof)
+        self._append(prof)
         self._install(prof)
         return prof
 

@@ -58,7 +58,7 @@ def rewrite_payload(path: Path, edit) -> None:
 
 
 class FailingFile:
-    """Stands in for the open file of a store's log (store._log._fh) and
+    """Stands in for the open file of a store's log (store._fh) and
     fails once, as a full disk would. With fail_on="write", the first write
     whose bytes contain marker gets half of them out and then raises; with
     fail_on="flush", the first flush after such a write raises."""

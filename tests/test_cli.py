@@ -11,10 +11,13 @@ from contextdb.cli import load_config, main
 from helpers import rewrite_payload
 
 
-def run_cli(args, tmp_home, stdin: str | None = None):
+def run_cli(args, tmp_home, stdin: str | bytes | None = None):
+    """(exit code, stdout, stderr); bytes on stdin go in as they are, and
+    then stdout and stderr come back as bytes too."""
     env = dict(os.environ, CONTEXTDB_HOME=str(tmp_home))
     proc = subprocess.run([sys.executable, "-m", "contextdb", *args],
-                          capture_output=True, text=True, input=stdin,
+                          capture_output=True, input=stdin,
+                          text=not isinstance(stdin, bytes),
                           env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -146,6 +149,22 @@ class TestIngestAndQuery:
         assert code == 0
         assert "ingested 4 documents" in out
         assert "warning: line 3" in err
+
+    def test_a_line_that_is_not_utf8_is_skipped_with_warning(self, home,
+                                                             tmp_path):
+        catalog = tmp_path / "c.jsonl"
+        rows = [json.dumps({"id": f"d{i}", "text": f"t{i}"}).encode()
+                for i in range(3)]
+        rows[1] = b'{"id": "d1", "text": "t\xff"}'
+        catalog.write_bytes(b"\n".join(rows) + b"\n")
+        code, out, err = run_cli(["ingest", "--catalog", str(catalog),
+                                  "--index", str(tmp_path / "idx")], home)
+        assert code == 0, err
+        assert "ingested 2 documents" in out
+        assert re.search(r"warning: line 2: .*utf-8.*; skipped", err)
+        assert "Traceback" not in err
+        index = load_index(tmp_path / "idx" / "index.snap")
+        assert len(index) == 2 and index.get("d1") is None
 
     def test_empty_catalog_is_a_data_error(self, home, tmp_path):
         catalog = tmp_path / "empty.jsonl"
@@ -306,6 +325,29 @@ class TestChat:
         assert err.startswith(f"error: config {line.split()[0]} = ")
         assert "Traceback" not in err
         assert not (home / "conversations.jsonl").exists()
+
+    def test_a_config_that_is_not_utf8_is_a_data_error(self, home):
+        home.mkdir(parents=True)
+        (home / "config").write_bytes(b"k = 1\n# caf\xe9\n")
+        code, out, err = run_cli(["chat", "--session", "s", "--user", "u"],
+                                 home, stdin="hello\n")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: config {home / 'config'}: ")
+        assert "Traceback" not in err
+        assert not (home / "conversations.jsonl").exists()
+
+    def test_a_question_that_is_not_utf8_is_an_error_and_the_loop_goes_on(
+            self, home):
+        stdin = b"caf\xe9\n" + DEMO_Q.encode() + b"\n"
+        code, out, err = run_cli(["chat", "--session", "s1", "--user", "u1"],
+                                 home, stdin=stdin)
+        assert code == 0, err
+        assert err.startswith(b"error: ") and b"utf-8" in err
+        assert b"Traceback" not in err
+        assert b"[mock]" in out  # the next line was served
+        convs = (home / "conversations.jsonl").read_text().splitlines()
+        texts = [json.loads(line)["text"] for line in convs]
+        assert len(texts) == 2 and texts[0] == DEMO_Q  # one exchange
 
     def test_a_second_chat_on_a_held_log_exits_2(self, home):
         q = "I need comfortable running shoes under $100"

@@ -191,7 +191,7 @@ class TestRecovery:
         # file nor bytes in a buffer that a later append would carry out.
         with ConversationStore(store_path) as store:
             store.append_message("s", "user", "m0")
-            store._log._fh = FailingFile(store._log._fh, b'"m1"', fail_on)
+            store._fh = FailingFile(store._fh, b'"m1"', fail_on)
             try:
                 store.append_message("s", "user", "m1")
                 acked = ["m1"]

@@ -25,7 +25,7 @@ from snapshot_v1 import make as snapshot_v1
 def put_ttl(value, tmp_path):
     cache = ResponseCache()
     cache.put("k", "v", now=0, ttl_ms=value)
-    return cache._entries["k"].ttl
+    return cache._entries["k"].expires_at  # put at now=0
 
 
 def history(value, tmp_path):

@@ -275,7 +275,7 @@ class TestHandleQuery:
     def test_failed_answer_append_persists_neither_message(
             self, make_pipeline, tmp_path):
         pipe = make_pipeline()
-        log = pipe.conversations._log
+        log = pipe.conversations
         log._fh = FailingFile(log._fh, b'"role":"assistant"')
         with pytest.raises(StageError) as exc_info:
             pipe.handle_query("s1", "u1", DEMO_QUESTION)
@@ -295,6 +295,17 @@ class TestHandleQuery:
             pipe.handle_query("s1", "u1", "unknown text for the fixture")
         assert exc_info.value.stage == "embed"
         assert pipe.conversations.count("s1") == 0
+
+    def test_unencodable_question_fails_in_the_cache_stage(
+            self, make_pipeline):
+        # a lone surrogate cannot be UTF-8 encoded into the cache key
+        pipe = make_pipeline()
+        with pytest.raises(StageError) as exc_info:
+            pipe.handle_query("s1", "u1", "bad \udcff")
+        assert exc_info.value.stage == "cache"
+        assert isinstance(exc_info.value.__cause__, UnicodeEncodeError)
+        assert pipe.conversations.count("s1") == 0
+        assert len(pipe.cache) == 0
 
     def test_search_failure_names_stage(self, tmp_path):
         with ConversationStore(tmp_path / "c.jsonl") as conversations, \
