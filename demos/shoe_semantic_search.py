@@ -7,9 +7,8 @@ turns the question into geometry: closest point wins, and the price cap
 becomes a metadata filter on top.
 """
 
-import numpy as np
-
-from contextdb import Document, FixtureEmbedder, FlatIndex, parse_filter
+from contextdb import (Document, FixtureEmbedder, FlatIndex, euclidean_distance,
+                       parse_filter)
 
 print("== catalog ====================================================")
 
@@ -41,7 +40,7 @@ print(f"embedded: {q.values.tolist()}")
 # keywords with the question either, yet lands second-closest.
 print()
 for doc_id, name, _ in CATALOG:
-    d = float(np.linalg.norm(index.get(doc_id).embedding.values - q.values))
+    d = euclidean_distance(index.get(doc_id).embedding, q)
     print(f"distance to {doc_id:<18} {d:.2f}")
 
 print()

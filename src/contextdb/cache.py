@@ -9,7 +9,11 @@ expired entry if any exists, otherwise the least-recently-used entry outright.
 Keys are per-user fingerprints of the canonicalized question
 (trimmed, lowercased, whitespace-collapsed) so personalized answers never
 leak across users, and of the parsed filter when the turn has one, so an
-answer is never served for a filter it was not retrieved under.
+answer is never served for a filter it was not retrieved under. The
+pipeline pairs that fingerprint with the versions of the context the
+answer was built from, the index's mutation count and the profile's
+updated_at, so a changed context is a plain miss and the old entry ages
+out by LRU or TTL. Any hashable value is a key.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Hashable
 
 from .core import count
 from .filters import FilterExpr
@@ -53,7 +58,7 @@ class ResponseCache:
                  default_ttl_ms: int = DEFAULT_TTL_MS):
         self.capacity = count("capacity", capacity)
         self.default_ttl_ms = count("default_ttl_ms", default_ttl_ms)
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         # no entry expires before this, so an eviction at an earlier now
         # need not look for an expired one
         self._expiry_floor = math.inf
@@ -65,7 +70,7 @@ class ResponseCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str, now: int) -> str | None:
+    def get(self, key: Hashable, now: int) -> str | None:
         """Value if present and unexpired (refreshing recency), else None.
         An expired entry found here is dropped on the spot."""
         with self._lock:
@@ -81,7 +86,7 @@ class ResponseCache:
             self.hits += 1
             return entry.value
 
-    def put(self, key: str, value: str, now: int,
+    def put(self, key: Hashable, value: str, now: int,
             ttl_ms: int | None = None) -> None:
         """Insert or overwrite; overwriting resets TTL and recency."""
         ttl = self.default_ttl_ms if ttl_ms is None else count("ttl_ms", ttl_ms)

@@ -1,7 +1,9 @@
 """Conversational tier: a durable append-only chat log.
 
-One JSONL file holds every session; each line is exactly
-{session_id, seq, role, text, timestamp, metadata}. The store assigns seq
+One JSONL file holds every session; a message is exactly
+{session_id, seq, role, text, timestamp, metadata}, and each line is one
+append: a message, or a JSON array of the messages of a batch(), which a
+crash keeps whole or drops whole. The store assigns seq
 (contiguous from 0 per session) and timestamp (non-decreasing per session),
 so callers can never race a sequence number. Recovery (see jsonl.JsonlStore)
 heals a torn final line and refuses corruption anywhere earlier, as well as

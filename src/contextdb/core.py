@@ -117,16 +117,23 @@ class Vector:
         return f"Vector({coords})"
 
 
+def sq_distances(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The difference kernel, sum((x - q)**2) over the last axis of rows,
+    which q broadcasts against: every exact distance is its sqrt."""
+    diff = rows - q
+    return np.einsum("...j,...j->...", diff, diff)
+
+
 def euclidean_distance(a: Vector, b: Vector) -> float:
-    """Straight-line distance between two same-dimension vectors.
+    """Straight-line distance between two same-dimension vectors, by the
+    difference kernel, as every search but hnsw's search() reports it.
 
     Exactly symmetric: (a_i - b_i)**2 and (b_i - a_i)**2 are the same float,
     so the summed result is bit-identical in either argument order.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(expected=a.dim, got=b.dim)
-    diff = a.values - b.values
-    return float(np.sqrt(np.dot(diff, diff)))
+    return float(np.sqrt(sq_distances(a.values, b.values)))
 
 
 def _validate_metadata(metadata: Mapping[str, MetaValue]) -> Mapping[str, MetaValue]:

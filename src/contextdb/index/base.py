@@ -21,7 +21,8 @@ from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import Document, MetaValue, Vector, _validate_metadata, count
+from ..core import (Document, MetaValue, Vector, _validate_metadata, count,
+                    sq_distances)
 from ..errors import DimensionMismatchError, EmptyIndexError
 from ..filters import FilterExpr, MetaColumns
 
@@ -286,7 +287,8 @@ class SlotTable:
 
 
 class VectorIndex(ABC):
-    """Base class for the flat, HNSW, and IVF document indexes."""
+    """Base class for the flat, HNSW, and IVF document indexes. version
+    counts the mutations: an insert, and a remove that removes something."""
 
     kind: ClassVar[str]
 
@@ -294,6 +296,7 @@ class VectorIndex(ABC):
         self._dim: int | None = None
         self._lock = threading.RLock()
         self._table = SlotTable()
+        self.version = 0
 
     # -- introspection --------------------------------------------------
 
@@ -321,6 +324,7 @@ class VectorIndex(ABC):
         """Add or atomically replace the document with this id."""
         with self._lock:
             self._check_insert_dim(doc.embedding.dim)
+            self.version += 1
             if doc.id in self._table.slot_of:
                 self._remove_vector(doc.id)  # the insert re-points the id
             self._insert_vector(doc)
@@ -330,6 +334,7 @@ class VectorIndex(ABC):
         with self._lock:
             if doc_id not in self._table.slot_of:
                 return False
+            self.version += 1
             self._remove_vector(doc_id)
             del self._table.slot_of[doc_id]
             return True
@@ -441,8 +446,7 @@ class VectorIndex(ABC):
                 limit = kth + screen_bound(q.shape[0], norms.max(), qq)
             if np.isfinite(limit) and np.isfinite(d2).all():
                 slots = picked = picked[d2 <= limit]
-        diff = t.rows[slots] - q
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dists = np.sqrt(sq_distances(t.rows[slots], q))
         cut = slice(None) if n >= dists.shape[0] else \
             np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
         return list(zip(dists[cut].tolist(),

@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..core import Document, count
+from ..core import Document, count, sq_distances
 from .base import RawJson, VectorIndex, unpack_array
 
 
@@ -105,7 +105,8 @@ class HnswIndex(VectorIndex):
         return self._table.slot_of
 
     def _distances_to(self, q: np.ndarray) -> np.ndarray:
-        """True Euclidean distance from q to every slot, dead ones included."""
+        """Euclidean distance from q to every slot, dead ones included, by
+        the expansion: it can differ from sq_distances' in the last bits."""
         d2 = self._table.norms - 2.0 * (self._table.rows @ q) + float(q @ q)
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2, out=d2)
@@ -221,8 +222,7 @@ class HnswIndex(VectorIndex):
         rows = self._table.rows
         links = np.array([self._graph[s][layer] for s in nodes],
                          dtype=np.int64)
-        diff = rows[links] - rows[nodes][:, None, :]
-        d = np.sqrt(np.einsum("bij,bij->bi", diff, diff))
+        d = np.sqrt(sq_distances(rows[links], rows[nodes][:, None, :]))
         order = np.lexsort((links, d))
         kept = self._select_neighbors(np.take_along_axis(d, order, 1),
                                       np.take_along_axis(links, order, 1),

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Document, Vector, count
+from ..core import Document, Vector, count, sq_distances
 from ..errors import NotTrainedError, TrainingDataError
 from .base import VectorIndex, pack_array, screen_bound, unpack_array
 
@@ -69,8 +69,7 @@ def _kmeans(x: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
             p = int(own.argmax())
             moved[c] = x[p]
             own[p] = -1.0
-        shift = np.sqrt(
-            np.einsum("ij,ij->i", moved - centroids, moved - centroids))
+        shift = np.sqrt(sq_distances(moved, centroids))
         centroids = moved
         if float(shift.max()) < 1e-6:
             break
@@ -178,8 +177,7 @@ class IvfIndex(VectorIndex):
     def _list_of(self, values: np.ndarray) -> int:
         """The list of the centroid nearest to values (the first of a
         tie), by the difference kernel."""
-        diff = self._centroids - values
-        return int(np.einsum("ij,ij->i", diff, diff).argmin())
+        return int(sq_distances(self._centroids, values).argmin())
 
     # -- VectorIndex hooks --------------------------------------------------
 
@@ -204,8 +202,7 @@ class IvfIndex(VectorIndex):
         nearest to q."""
         nprobe = count("nprobe", nprobe) if nprobe is not None \
             else self.params.nprobe or min(8, self.nlist)
-        diff = self._centroids - q
-        cd = np.einsum("ij,ij->i", diff, diff)
+        cd = sq_distances(self._centroids, q)
         probed = np.zeros(self.nlist, dtype=bool)
         probed[np.argsort(cd, kind="stable")[:nprobe]] = True
         return np.flatnonzero(probed[self._table.tags])

@@ -1,16 +1,19 @@
 """The append-only JSONL file under both durable stores.
 
-Each line is one record of a store -- a dataclass, as a JSON object of its
-fields. An append writes its lines with one unbuffered write(); if that
-fails, the file is cut back to its size before the append, so it holds an
-append entirely or not at all, and no refused bytes wait in a buffer to go
-out with a later one. Reopening replays every line through the store's apply
-step. A final line that fails to decode, with or without its newline, is the
-usual crash artifact of an interrupted append: it is dropped, the file is
-cut back to the last good line, and a WARNING names the bytes lost. A bad
-line anywhere earlier refuses the whole log with StorageError. The cut
-happens only after every record has been applied, so a log the store
-refuses is left exactly as it was found.
+Each line is one append. A record of a store is a dataclass, written as a
+JSON object of its fields; a line holds the one record of its append, or a
+JSON array of them when the append has several. An append writes its line
+with one unbuffered write(); if that fails, the file is cut back to its size
+before the append, so it holds an append entirely or not at all, and no
+refused bytes wait in a buffer to go out with a later one. Reopening builds
+every record of a line, then replays them through the store's apply step. A
+final line that fails to decode, with or without its newline, is the usual
+crash artifact of an interrupted append: it is dropped, records and all, the
+file is cut back to the last good line, and a WARNING names the bytes lost.
+So a crash costs at most the append being written. A bad line anywhere
+earlier refuses the whole log with StorageError. The cut happens only after
+every record has been applied, so a log the store refuses is left exactly as
+it was found.
 """
 
 from __future__ import annotations
@@ -74,7 +77,13 @@ class JsonlStore:
         good = len(raw) - len(tail)
         for lineno, line in enumerate(lines, start=1):
             try:
-                rec = record(*values_of(json.loads(line)))
+                obj = json.loads(line)
+                if not isinstance(obj, list):
+                    recs = (record(*values_of(obj)),)
+                elif obj:
+                    recs = [record(*values_of(o)) for o in obj]
+                else:
+                    raise ValueError("an append of no records")
             except Exception as exc:
                 if lineno == len(lines) and not tail:
                     # torn final line that did get its newline out
@@ -83,7 +92,8 @@ class JsonlStore:
                 raise StorageError(
                     f"{self.path}:{lineno}: corrupt record: {exc}") from exc
             try:
-                apply(rec)
+                for rec in recs:
+                    apply(rec)
             except ValueError as exc:
                 raise StorageError(f"{self.path}:{lineno}: {exc}") from exc
         if good != len(raw):
@@ -92,14 +102,15 @@ class JsonlStore:
                            self.path, len(raw) - good)
 
     def _append(self, *records: Any) -> None:
-        """Write the records, one line each, to the OS in one write: all of
-        them, or on failure none."""
+        """Write the records to the OS as one line in one write: all of
+        them, or on failure none. One record is an object, several an
+        array."""
+        objs = [dict(zip(self._names, self._fields_of(record)))
+                for record in records]
         # default=dict writes the read-only mapping fields as objects
-        data = "".join(
-            json.dumps(dict(zip(self._names, self._fields_of(record))),
-                       ensure_ascii=False, separators=(",", ":"),
-                       default=dict) + "\n"
-            for record in records).encode("utf-8")
+        data = (json.dumps(objs[0] if len(objs) == 1 else objs,
+                           ensure_ascii=False, separators=(",", ":"),
+                           default=dict) + "\n").encode("utf-8")
         try:
             written = self._fh.write(data)
             if written != len(data):

@@ -3,10 +3,12 @@
 Order on a cache miss: cache check, conversation history, user profile,
 question embedding, vector search, prompt render + LLM call, persistence
 (conversation append, then cache fill), response. A cache hit skips straight
-to the answer. Every stage is timed, and a failure anywhere surfaces as a
-StageError naming the stage. The exchange is appended only after the LLM
-succeeds and the response is cached only after the append succeeds, so a
-failed call leaves both stores untouched.
+to the answer. A cached answer is served only while its context stands:
+the cache key holds the index's version and the user's profile updated_at,
+so a mutation of either makes the repeat a miss. Every stage is timed, and
+a failure anywhere surfaces as a StageError naming the stage. The exchange
+is appended only after the LLM succeeds and the response is cached only
+after the append succeeds, so a failed call leaves both stores untouched.
 """
 
 from __future__ import annotations
@@ -210,7 +212,11 @@ class Pipeline:
                 timings[stage] = (time.perf_counter() - t0) * 1000.0
 
         def cache_step():
-            key = make_cache_key(user_id, question, filt)
+            # the context's versions, read before the search: a mutation
+            # after this read can only cause a miss, never a stale hit
+            profile = self.profiles.get_profile(user_id)
+            key = (make_cache_key(user_id, question, filt), self.index.version,
+                   None if profile is None else profile.updated_at)
             return key, self.cache.get(key, self._now_ms())
 
         key, hit_text = run("cache", cache_step)

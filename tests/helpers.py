@@ -40,6 +40,16 @@ def make_docs(data: np.ndarray, prefix: str = "d",
     return docs
 
 
+def log_records(path: Path) -> list[dict]:
+    """Every record of a JSONL log, in order, read without the library: a
+    line is one record object or an array of the records of one append."""
+    records = []
+    for line in path.read_text("utf-8").splitlines():
+        obj = json.loads(line)
+        records += obj if isinstance(obj, list) else [obj]
+    return records
+
+
 # index snapshot header: magic, version, dim, kind, count, payload length
 HEADER = struct.Struct("<8sIIBQQ")
 

@@ -8,7 +8,7 @@ import pytest
 
 from contextdb import ConversationStore, ProfileStore, load_index
 from contextdb.cli import load_config, main
-from helpers import rewrite_payload
+from helpers import log_records, rewrite_payload
 
 
 def run_cli(args, tmp_home, stdin: str | bytes | None = None):
@@ -271,7 +271,7 @@ class TestChat:
         assert out.count("[mock]") >= 1
         # two exchanges were persisted for the session... but the second was
         # cached, so exactly one exchange (2 messages) is on disk
-        convs = (home / "conversations.jsonl").read_text().splitlines()
+        convs = log_records(home / "conversations.jsonl")
         assert len(convs) == 2
 
     def test_two_distinct_turns_persist_two_exchanges(self, home):
@@ -280,9 +280,9 @@ class TestChat:
         code, out, _ = run_cli(["chat", "--session", "s1", "--user", "u1"],
                                home, stdin=stdin)
         assert code == 0
-        convs = (home / "conversations.jsonl").read_text().splitlines()
+        convs = log_records(home / "conversations.jsonl")
         assert len(convs) == 4
-        seqs = [json.loads(l)["seq"] for l in convs]
+        seqs = [rec["seq"] for rec in convs]
         assert seqs == [0, 1, 2, 3]
 
     def test_verbose_prints_all_stage_latencies(self, home):
@@ -345,8 +345,8 @@ class TestChat:
         assert err.startswith(b"error: ") and b"utf-8" in err
         assert b"Traceback" not in err
         assert b"[mock]" in out  # the next line was served
-        convs = (home / "conversations.jsonl").read_text().splitlines()
-        texts = [json.loads(line)["text"] for line in convs]
+        convs = log_records(home / "conversations.jsonl")
+        texts = [rec["text"] for rec in convs]
         assert len(texts) == 2 and texts[0] == DEMO_Q  # one exchange
 
     def test_a_second_chat_on_a_held_log_exits_2(self, home):

@@ -300,6 +300,70 @@ class TestRecovery:
             assert store.count("s") == 2
             assert store.append_message("s", "user", "m2").seq == 2
 
+    def _two_exchanges(self, store_path) -> list[int]:
+        """Two exchanges, each one batch(); the file's size after each."""
+        sizes = []
+        with ConversationStore(store_path) as store:
+            for i in range(2):
+                with store.batch():
+                    store.append_message("s", "user", f"q{i}")
+                    store.append_message("s", "assistant", f"a{i}")
+                sizes.append(store_path.stat().st_size)
+        return sizes
+
+    def test_a_batch_torn_inside_its_answer_drops_the_question_too(
+            self, store_path):
+        sizes = self._two_exchanges(store_path)
+        raw = store_path.read_bytes()
+        store_path.write_bytes(raw[:raw.index(b'"a1"') + 2])
+        with ConversationStore(store_path) as store:
+            history = store.get_history("s", 10)
+        assert [m.text for m in history] == ["q0", "a0"]
+        assert store_path.read_bytes() == raw[:sizes[0]]
+
+    def test_every_cut_keeps_only_whole_appends(self, store_path):
+        sizes = self._two_exchanges(store_path)
+        raw = store_path.read_bytes()
+        for cut in range(len(raw) + 1):
+            store_path.write_bytes(raw[:cut])
+            with ConversationStore(store_path) as store:
+                texts = [m.text for m in store.get_history("s", 10)]
+            whole = sum(size <= cut for size in sizes)
+            assert texts == ["q0", "a0", "q1", "a1"][:2 * whole], cut
+            assert store_path.read_bytes() == raw[:([0] + sizes)[whole]]
+        assert raw.count(b"\n") == 2  # a batch is one line
+
+    def test_a_log_of_one_object_per_line_replays_unchanged(self, store_path):
+        # the format of a batch before a batch became one line
+        lines = [json.dumps({"session_id": "s", "seq": i, "role": role,
+                             "text": f"m{i}", "timestamp": 1000,
+                             "metadata": {}}, separators=(",", ":"))
+                 for i, role in enumerate(["user", "assistant"] * 2)]
+        raw = "".join(line + "\n" for line in lines).encode()
+        store_path.write_bytes(raw)
+        with ConversationStore(store_path) as store:
+            history = store.get_history("s", 10)
+            assert store.append_message("s", "user", "m4").seq == 4
+        assert [(m.seq, m.text) for m in history] == \
+            [(i, f"m{i}") for i in range(4)]
+        assert store_path.read_bytes().startswith(raw)
+
+    @pytest.mark.parametrize("bad", [
+        "[]", "[[]]", '[{"session_id":"s","seq":2}]',
+        '[{"session_id":"s","seq":2,"role":"user","text":"x",'
+        '"timestamp":1000,"metadata":{}},{"session_id":"s","seq":3}]'])
+    def test_a_bad_append_line_is_refused_earlier_and_dropped_last(
+            self, store_path, bad):
+        self._fill(store_path, n=2)
+        good = store_path.read_bytes()
+        store_path.write_bytes(bad.encode() + b"\n" + good)
+        with pytest.raises(StorageError, match=":1: corrupt record"):
+            ConversationStore(store_path)
+        store_path.write_bytes(good + bad.encode() + b"\n")
+        with ConversationStore(store_path) as store:
+            assert store.count("s") == 2
+        assert store_path.read_bytes() == good
+
     def test_missing_file_starts_empty(self, store_path):
         with ConversationStore(store_path) as store:
             assert store.list_sessions() == []

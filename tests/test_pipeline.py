@@ -335,6 +335,71 @@ class TestHandleQuery:
         assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
 
 
+def references(resp) -> list[str]:
+    return resp.text.rsplit("references: ", 1)[1].split(", ")
+
+
+class TestCachedAnswerOnlyWhileItsContextStands:
+    """A repeat inside the TTL is served from the cache only while the index
+    and the user's profile are as they were when the answer was cached."""
+
+    def test_removing_a_cited_document_makes_the_repeat_a_miss(
+            self, make_pipeline):
+        pipe = make_pipeline()
+        assert "asics-gel-kayano" in references(
+            pipe.handle_query("s1", "u1", DEMO_QUESTION))
+        assert pipe.index.remove("asics-gel-kayano")
+        again = pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        assert not again.cached
+        assert references(again) == ["reebok-floatride", "adidas-ultraboost",
+                                     "nike-zoomx"]
+        assert (pipe.cache.hits, pipe.cache.misses) == (0, 2)
+        assert pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
+
+    def test_inserting_a_nearer_document_makes_the_repeat_a_miss(
+            self, make_pipeline):
+        pipe = make_pipeline()
+        pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        pipe.index.insert(Document("exact", "Exact Match", {"price": 80},
+                                   Vector([3.0, 2.7])))
+        again = pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        assert not again.cached
+        assert references(again) == ["exact", "reebok-floatride",
+                                     "asics-gel-kayano", "adidas-ultraboost"]
+
+    def test_updating_the_profile_makes_the_repeat_a_miss(self, make_pipeline):
+        llm = RecordingLlm()
+        pipe = make_pipeline(llm=llm)
+        pipe.handle_query("s1", "u1", DEMO_QUESTION)  # no profile yet
+        pipe.profiles.put_profile("u1", {"budget": 100})
+        assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
+        assert "budget=100" in llm.prompts[-1].rendered
+        pipe.profiles.update_field("u1", "budget", 90)
+        assert not pipe.handle_query("s1", "u1", DEMO_QUESTION).cached
+        assert "budget=90" in llm.prompts[-1].rendered
+        assert len(llm.prompts) == 3
+
+    def test_an_unchanged_context_still_hits(self, make_pipeline):
+        pipe = make_pipeline()
+        pipe.profiles.put_profile("u1", {"budget": 100})
+        first = pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        assert not pipe.index.remove("no-such-doc")
+        pipe.profiles.put_profile("u2", {"budget": 50})  # another user's
+        pipe.record_exchange("s1", "hello", "hi")  # history is not context
+        again = pipe.handle_query("s1", "u1", DEMO_QUESTION)
+        assert again.cached and again.text == first.text
+
+    def test_a_mutation_bumps_the_index_version(self):
+        index = demo_index()
+        start = index.version
+        assert not index.remove("no-such-doc")
+        assert index.version == start
+        index.remove("nike-zoomx")
+        index.insert(Document("exact", "x", {}, Vector([3.0, 2.7])))
+        index.insert(Document("exact", "y", {}, Vector([3.0, 2.7])))
+        assert index.version == start + 3
+
+
 class TestRecordExchange:
     def test_fresh_session_seqs(self, make_pipeline):
         pipe = make_pipeline()

@@ -8,6 +8,7 @@ data built to defeat the screen: duplicated rows, exact ties, rows of norm
 1e3 a hair apart, large offsets and rows whose norms overflow. The norms
 themselves must equal row @ row bit for bit through inserts, removes,
 replaces and a snapshot reload, and an insert must compute none of them.
+Every distance a search reports must be euclidean_distance's, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
-                       IvfParams, Vector, load_index, parse_filter)
+                       IvfParams, Vector, euclidean_distance, load_index,
+                       parse_filter)
 from helpers import unit_rows
 
 KS = (1, 4, 10, 50)
@@ -129,6 +131,25 @@ class TestSameHitsAsTheDifferenceKernel:
                 for k in KS:
                     assert index.search_filtered(Vector(q), k, filt) == \
                         expected(index, q, k, np.array(keep))
+
+    def test_every_reported_distance_is_euclidean_distance(self, rng, kind):
+        rows, spread = dataset(kind, rng, 600)
+        flat, ivf = FlatIndex(), IvfIndex(IvfParams(nlist=8, seed=1))
+        hnsw = HnswIndex(HnswParams(m=4, ef_construction=16))
+        ivf.train(rows)
+        for doc in docs(rows, lambda i: {"g": i % 3}):
+            for index in (flat, ivf, hnsw):
+                index.insert(doc)
+        filt = parse_filter("g!=1")
+        for q in map(Vector, queries(rng, rows, spread)):
+            for index, hits in ((flat, flat.search(q, 50)),
+                                (ivf, ivf.search(q, 50, nprobe=1)),
+                                (ivf, ivf.search(q, 50, nprobe=8)),
+                                (hnsw, hnsw.search_filtered(q, 50, filt))):
+                assert hits
+                for hit in hits:
+                    stored = index.get(hit.doc_id).embedding
+                    assert hit.distance == euclidean_distance(stored, q)
 
 
 def test_duplicates_straddling_the_kth_are_all_ranked(rng):
