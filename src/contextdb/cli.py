@@ -354,6 +354,8 @@ def cmd_bench(args) -> int:
 
     print(f"kind={args.kind} n={args.n} dim={args.dim} k={k} seed={args.seed}")
     print(f"recall@{k}={float(np.mean(recalls)):.4f}")
+    print(f"rerank_per_query={index.rows_reranked / len(queries):.2f}")
+    print(f"screen_fallbacks={index.screen_fallbacks}")
     print(f"latency_build_ms={build_ms:.1f}")
     for name, lat in zip(("latency", "flat_latency"), np.array(times).T):
         print(f"{name}_p50_ms={1000.0 * np.percentile(lat, 50):.3f}")

@@ -37,28 +37,54 @@ class SearchHit:
 
 
 _F8 = np.dtype("<f8")
-_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-# A pool of at most this many rows skips _scan's gemv screen: its fixed
-# cost (norm read, partition, bound) outweighs the kernel work it saves.
-# 10k x 64 flat, k 10, timeit best of 5 x 300, screened against
-# kernel-only: a gathered pool of 50 rows 50 vs 32 us, 200 rows 61-68 vs
-# 56-61, 250 rows 63-73 vs 62-67, 300 rows 73-74 vs 75, 400 rows 80 vs 93,
-# 600 rows 97 vs 131; a whole table of 20, 50 and 100 rows 43, 38 and 37
-# vs 21, 18 and 28 us.
-_SCREEN_ROWS = 256
+# A pool of at most this many rows skips _scan's screen: its fixed cost
+# (the query's float32 copy, partition, bound) outweighs the kernel work it
+# saves. 10k x 64 flat, k 10, timeit best of 5 x 300 over three runs,
+# screened against kernel-only: a gathered pool of 50 rows 28-33 vs 17-25
+# us, 150 rows 31-36 vs 27-31, 200 rows 32-58 vs 35-52, 250 rows 35-39 vs
+# 41-51, 400 rows 38-68 vs 53-57, 600 rows 44-50 vs 76-82; a whole table
+# of 20, 100 and 150 rows 24-27, 25-28 and 28 vs 12-13, 19-21 and 22-24
+# us, of 200 rows 26-29 vs 25-32, of 250 rows 29-31 vs 32-33.
+_SCREEN_ROWS = 200
 
 
-def screen_bound(dim: int, rows_max2, qq):
-    """How far past the nth smallest screened d2 = |x|^2 - 2 x.q + |q|^2
-    any row that the difference kernel ranks up to the nth may screen, for
-    rows of squared norms up to rows_max2 and a query of squared norm qq
-    (an array of queries gives an array of bounds). Screen and kernel each
-    err <= (dim + 2) u S in d2 (u = eps / 2, S = (max |x| + |q|)^2 >= d2),
-    and a d2 4u S past the nth's can tie its sqrt: such a row screens <=
-    kth + (2 dim + 6) eps S to first order; 2 dim + 8 covers the higher
-    orders, tiny the underflow. Not finite when S overflows."""
-    return _TINY + (2 * dim + 8) * _EPS * (np.sqrt(rows_max2)
-                                           + np.sqrt(qq)) ** 2
+def screen_bound(dim: int, rows_max2, qq, dtype):
+    """How far past the nth smallest screen value any row that the
+    difference kernel ranks up to the nth may screen, for a screen computed
+    in dtype, rows of squared norms up to rows_max2 and a query of squared
+    norm qq (an array of either gives an array of bounds). Not finite when
+    S = (max |x| + |q|)^2 overflows.
+
+    _scan screens t = |x|^2 - 2 x.q, which is d2 = |x - q|^2 less |q|^2,
+    with one gemv of the float32 [x, |x|^2] against [-2q, 1]. With u =
+    eps / 2 of dtype, to first order:
+    - converting x, -2q and the float64 |x|^2 to float32 errs u per value:
+      2u 2|x||q| in the products, u |x|^2 in the norm;
+    - the gemv's dim + 1 terms err (dim + 1) u times the sum of their
+      magnitudes, at most 2|x||q| + |x|^2;
+    - |q|^2 is never added: it shifts every row alike.
+    So a screen value errs E <= (dim + 3) u S. The n rows that screen up to
+    the nth value s_n have kernel d2 <= s_n + |q|^2 + E + K, with K <=
+    (dim + 2) u64 S the kernel's error, and so has the kernel's nth. A row
+    the kernel ranks up to the nth is within 2K of it, or 4 u64 S more and
+    ties its sqrt, so it screens <= s_n + 2E + 2K + 4 u64 S <= s_n +
+    (dim + 4) eps S. Twice that covers the higher orders (the gemv's
+    gamma_{dim+1} <= 2 (dim + 1) u while that is <= 1). A float64 screen
+    (ivf's list choice) converts nothing: E <= (dim + 2) u S, and the same
+    sum is (2 dim + 6) eps S. Underflow: a product or sum errs by at most
+    tiny, flushed to zero or not, and the conversions' errors of at most
+    tiny each, scaled by |2q| or |x|, sum to at most 2 sqrt(dim S) tiny <=
+    u S + tiny; (4 dim + 16) tiny covers two screen values.
+
+    The bound is two halves, one per screen value (the row's and the
+    nth's), and each half covers its own E + K + 2 u64 S with the S of its
+    own row. So a row whose screen value less the half at its own norm
+    exceeds s_n plus the largest half among the rows screening up to s_n is
+    never needed either; _scan tests that when one large norm has loosened
+    the bound at max |x|."""
+    f = np.finfo(dtype)
+    return (2 * dim + 8) * (2 * f.tiny + f.eps * (np.sqrt(rows_max2)
+                                                 + np.sqrt(qq)) ** 2)
 
 
 # json.dumps(obj, separators=(",", ":")), without a new encoder per call
@@ -102,12 +128,18 @@ class SlotTable:
     document's JSON fragment, which fragments() encodes (fragment_encodings
     counts them), and the base64 of each block of three rows, which
     rows_json() encodes. The squared norms are lazy too: set below
-    _normed."""
+    _normed. So is the float32 screen matrix [x, |x|^2] that _scan's gemv
+    reads, 4 (dim + 1) bytes per row of capacity: filled below _screened,
+    with max_norm2 the largest squared norm it has taken in. A removal may
+    leave max_norm2 too high, which only loosens the screen's bound."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
         self._norms = np.zeros(0)
         self._normed = 0
+        self._screen = np.zeros((0, 0), dtype=np.float32)
+        self._screened = 0
+        self.max_norm2 = 0.0
         self._tags = np.zeros(0, dtype=np.int64)
         self.count = 0
         self.ids: list[str] = []
@@ -138,6 +170,32 @@ class SlotTable:
             new[:, None], new[:, :, None])[:, 0, 0]
         self._normed = self.count
         return self._norms[:self.count]
+
+    @property
+    def screen(self) -> np.ndarray:
+        """Each row and its squared norm in float32, [x, |x|^2], filled now
+        for the slots appended since the last read; the matrix grows to the
+        rows' capacity. A value past float32's range is inf."""
+        lo, hi = self._screened, self.count
+        if self._screen.shape[0] < hi:
+            grown = np.empty((self._data.shape[0], self._data.shape[1] + 1),
+                             dtype=np.float32)
+            if lo:
+                grown[:lo] = self._screen[:lo]
+            self._screen = grown
+        if lo < hi:
+            self.norms  # computes the new rows' norms
+            self._fill_screen(lo, hi)
+            self._screened = hi
+        return self._screen[:hi]
+
+    def _fill_screen(self, lo: int, hi: int) -> None:
+        """Screen rows lo to hi, from their rows and computed norms."""
+        norms = self._norms[lo:hi]
+        with np.errstate(over="ignore"):
+            self._screen[lo:hi, :-1] = self._data[lo:hi]
+            self._screen[lo:hi, -1] = norms
+        self.max_norm2 = max(self.max_norm2, float(norms.max()))
 
     def extend(self, ids: list, rows: np.ndarray, texts: list, metas: list,
                tags: np.ndarray, live: list[int] | None = None) -> None:
@@ -209,6 +267,10 @@ class SlotTable:
             self._unencode(slot)
             if slot < self._normed:  # the moved row may have had none
                 self._norms[slot] = self._data[slot] @ self._data[slot]
+            if last < self._screened:
+                self._screen[slot] = self._screen[last]
+            elif slot < self._screened:
+                self._fill_screen(slot, slot + 1)
             for column in (self.ids, self.texts, self.metas, self._fragments):
                 column[slot] = column[last]
             self.slot_of[self.ids[slot]] = slot
@@ -220,6 +282,7 @@ class SlotTable:
         self.count = last
         self._columns.count = min(self._columns.count, last)
         self._normed = min(self._normed, last)
+        self._screened = min(self._screened, last)
 
     def set_doc(self, slot: int, text: str | None,
                 meta: Mapping[str, MetaValue] | None) -> None:
@@ -288,7 +351,10 @@ class SlotTable:
 
 class VectorIndex(ABC):
     """Base class for the flat, HNSW, and IVF document indexes. version
-    counts the mutations: an insert, and a remove that removes something."""
+    counts the mutations: an insert, and a remove that removes something.
+    The exact scan counts its work: rows_screened, rows_reranked by the
+    difference kernel, and screen_fallbacks, screens that were not finite
+    and so ranked their whole pool."""
 
     kind: ClassVar[str]
 
@@ -297,6 +363,7 @@ class VectorIndex(ABC):
         self._lock = threading.RLock()
         self._table = SlotTable()
         self.version = 0
+        self.rows_screened = self.rows_reranked = self.screen_fallbacks = 0
 
     # -- introspection --------------------------------------------------
 
@@ -362,7 +429,9 @@ class VectorIndex(ABC):
             self._check_search_ready(query, k)
             q, t = query.values, self._table
             pool = self._pool(q, **overrides)
-            keep = np.arange(t.count)[pool][filt.mask(t.columns(), pool)]
+            mask = filt.mask(t.columns(), pool)
+            keep = np.flatnonzero(mask) if isinstance(pool, slice) \
+                else pool[mask]
             return self._to_hits(self._scan(q, k, keep), k)
 
     # -- persistence --------------------------------------------------------
@@ -429,28 +498,51 @@ class VectorIndex(ABC):
               slots: slice | np.ndarray | list[int]) -> list[tuple[float, str]]:
         """The exact (distance, doc_id) of the n given slots nearest to q,
         plus every tie with the nth: the (distance, doc_id) sort of the hits
-        settles the boundary. slots is any numpy index into the rows. A pool
-        of over n rows is screened first: one gemv gives d2 = |x|^2 - 2 x.q +
-        |q|^2, and only rows within rounding of the nth are ranked exactly.
-        A pool of at most _SCREEN_ROWS rows is not screened."""
+        settles the boundary. slots is slice(None), every slot, or the
+        slots as ints. A pool of over n rows is screened first: one float32
+        gemv of the slot table's screen gives |x|^2 - 2 x.q, and only rows
+        within screen_bound of the nth are ranked exactly. A pool of at most
+        _SCREEN_ROWS rows is not screened."""
         t = self._table
-        picked = np.arange(t.count)[slots]
-        if n < picked.shape[0] and picked.shape[0] > _SCREEN_ROWS:
-            # past an eighth of the rows, one gemv over all beats a gather
-            whole = 8 * picked.shape[0] > t.count
+        picked = None if isinstance(slots, slice) else np.asarray(
+            slots, dtype=np.intp)  # None: every slot
+        size = t.count if picked is None else picked.shape[0]
+        if n < size and size > _SCREEN_ROWS:
+            self.rows_screened += size
             with np.errstate(all="ignore"):  # overflow: rank the whole pool
-                xq = (t.rows @ q)[slots] if whole else t.rows[slots] @ q
-                norms, qq = t.norms[slots], q @ q
-                d2 = norms - 2.0 * xq + qq
-                kth = np.partition(d2, n - 1)[n - 1]
-                limit = kth + screen_bound(q.shape[0], norms.max(), qq)
-            if np.isfinite(limit) and np.isfinite(d2).all():
-                slots = picked = picked[d2 <= limit]
-        dists = np.sqrt(sq_distances(t.rows[slots], q))
-        cut = slice(None) if n >= dists.shape[0] else \
-            np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
-        return list(zip(dists[cut].tolist(),
-                        [t.ids[s] for s in picked[cut].tolist()]))
+                v = np.append(-2.0 * q, 1.0).astype(np.float32)
+                # past an eighth of the rows, one gemv over all beats a gather
+                if picked is None or 8 * size > t.count:
+                    screened = t.screen @ v
+                    if picked is not None:
+                        screened = screened[picked]
+                else:
+                    screened = t.screen[picked] @ v
+                dim, qq = q.shape[0], q @ q
+                nth = np.float64(np.partition(screened, n - 1)[n - 1])
+                limit = nth + screen_bound(dim, t.max_norm2, qq, np.float32)
+            if np.isfinite(limit) and np.isfinite(screened).all():
+                # compared in float64, so the limit is not rounded down
+                near = np.flatnonzero(screened <= limit)
+                if near.shape[0] > 2 * n:
+                    # a large norm loosened the bound: each row has its own
+                    # half of it, and the nth's the largest half up to it
+                    at = screened[near]
+                    norms = t.norms[near if picked is None else picked[near]]
+                    half = screen_bound(dim, norms, qq, np.float32) / 2
+                    near = near[at - half <= nth + half[at <= nth].max()]
+                picked = near if picked is None else picked[near]
+            else:
+                self.screen_fallbacks += 1
+        dists = np.sqrt(sq_distances(t.rows if picked is None
+                                     else t.rows[picked], q))
+        self.rows_reranked += dists.shape[0]
+        if n < dists.shape[0]:
+            cut = np.flatnonzero(dists <= np.partition(dists, n - 1)[n - 1])
+            dists = dists[cut]
+            picked = cut if picked is None else picked[cut]
+        ids = t.ids if picked is None else [t.ids[s] for s in picked.tolist()]
+        return list(zip(dists.tolist(), ids))
 
     def _check_insert_dim(self, got: int) -> None:
         if self._dim is None:

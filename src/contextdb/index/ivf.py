@@ -166,7 +166,8 @@ class IvfIndex(VectorIndex):
                 xx = np.einsum("ij,ij->i", x, x)
                 d2 = (xx[:, None] + cc) - 2.0 * (x @ c.T)
                 two = np.partition(d2, 1, axis=1)[:, :2]
-                limit = two[:, 0] + screen_bound(c.shape[1], cc.max(), xx)
+                limit = two[:, 0] + screen_bound(
+                    c.shape[1], cc.max(), xx, np.float64)
                 sure = np.isfinite(d2).all(axis=1) & (two[:, 1] > limit)
             block = lists[start:start + step]
             block[:] = d2.argmin(axis=1)

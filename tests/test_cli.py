@@ -429,6 +429,15 @@ class TestBench:
         pick = lambda s: [l for l in s.splitlines() if "latency" not in l]
         assert pick(first) == pick(second)
 
+    def test_reports_the_scans_work_counts(self, home):
+        code, out, _ = run_cli(["bench", "--n", "2000", "--dim", "16",
+                                "--k", "10", "--kind", "flat"], home)
+        assert code == 0
+        match = re.search(r"^rerank_per_query=(\d+\.\d{2})$", out,
+                          re.MULTILINE)
+        assert match and 10.0 <= float(match.group(1)) <= 20.0
+        assert re.search(r"^screen_fallbacks=0$", out, re.MULTILINE)
+
     def test_small_n_is_usage_error(self, home):
         code, _, err = run_cli(["bench", "--n", "50", "--dim", "8", "--k", "5",
                                 "--kind", "flat"], home)

@@ -21,6 +21,7 @@ import pytest
 from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        IvfParams, Vector, euclidean_distance, load_index,
                        parse_filter)
+from contextdb.core import sq_distances
 from helpers import unit_rows
 
 KS = (1, 4, 10, 50)
@@ -292,3 +293,209 @@ def test_flat_insert_computes_no_norm(rng):
     assert index._table._normed == 0
     index.search(Vector(unit_rows(rng, 1, 8)[0]), 5)
     assert index._table._normed == 10_000
+
+
+# -- the float32 screen on data built to defeat it ---------------------------
+#
+# The screen is one float32 gemv of [x, |x|^2] against [-2q, 1]. These rows
+# and queries sit where float32 loses what float64 keeps: rows it rounds to
+# one value, values past its range, squared norms past its range, values
+# below its normal range, and a query far larger than every row. Every
+# search must still equal a brute-force difference kernel over the pool.
+
+HOSTILE_ROWS = 360  # a filtered third out still leaves a screened pool
+
+
+def hostile(case: str, rng: np.random.Generator):
+    """(rows, queries, whether float32 overflows) for one hostile case."""
+    dim = 8
+    if case == "equal_in_float32":
+        # float64 rows a hair off one float32 row: every screen value is
+        # the same, and 40 patterns over 360 rows make exact float64 ties
+        base = unit_rows(rng, 1, dim)[0].astype(np.float32).astype(np.float64)
+        steps = rng.integers(-5, 6, (40, dim)) * 1e-9
+        rows = base * (1.0 + steps[rng.integers(40, size=HOSTILE_ROWS)])
+        assert (rows.astype(np.float32) == base.astype(np.float32)).all()
+        queries = [rows[3], base, base * (1.0 + 3e-9)]
+        return rows, queries, False
+    if case == "past_float32_max":
+        # 3.0e38 to 3.8e38: finite in float64, inf in float32 past 3.4e38
+        rows = 3.4e38 * (1.0 + 0.12 * rng.uniform(-1, 1, (HOSTILE_ROWS, dim)))
+        assert (rows > np.finfo(np.float32).max).any()
+        return rows, [rows[5], 3.3e38 * np.ones(dim)], True
+    if case == "norm_past_float32_max":
+        # each value fits float32; |x|^2 of about 1e40 does not
+        rows = 1e20 * unit_rows(rng, HOSTILE_ROWS, dim) \
+            * (1.0 + 0.01 * rng.random((HOSTILE_ROWS, 1)))
+        return rows, [rows[5], 1.001e20 * unit_rows(rng, 1, dim)[0]], True
+    if case in ("subnormal_1e-40", "subnormal_1e-44"):
+        scale = float(case.split("_")[1])
+        rows = scale * rng.standard_normal((HOSTILE_ROWS, dim))
+        q = scale * rng.standard_normal(dim)
+        return rows, [rows[5], q, rows[7] + 0.1 * q], False
+    if case == "huge_query":
+        rows = unit_rows(rng, HOSTILE_ROWS, dim)
+        queries = [1e20 * unit_rows(rng, 1, dim)[0], 1e20 * rows[5]]
+        return rows, queries, False
+    raise ValueError(case)
+
+
+HOSTILE = ("equal_in_float32", "past_float32_max", "norm_past_float32_max",
+           "subnormal_1e-40", "subnormal_1e-44", "huge_query")
+
+
+def brute_force(rows: np.ndarray, ids: list[str], q: np.ndarray,
+                k: int) -> list[tuple[str, float]]:
+    """The k nearest (doc_id, distance) by the difference kernel over every
+    row, ties broken by doc id."""
+    dists = np.sqrt(sq_distances(rows, q))
+    return [(doc_id, d) for d, doc_id in sorted(zip(dists.tolist(), ids))[:k]]
+
+
+def counted_search(index, search, pool: int, k: int):
+    """Run search() and check the re-rank count it adds: at least the k it
+    must rank, at most the pool. Returns its hits as (doc_id, distance)."""
+    before = (index.rows_reranked, index.rows_screened)
+    hits = search()
+    reranked = index.rows_reranked - before[0]
+    assert min(k, pool) <= reranked <= pool
+    assert index.rows_screened - before[1] in (0, pool)
+    return [(h.doc_id, h.distance) for h in hits]
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_the_float32_screen_keeps_the_kernels_hits(rng, case):
+    rows, queries, overflows = hostile(case, rng)
+    ids = [f"d{i:04d}" for i in range(len(rows))]
+    flat, ivf = FlatIndex(), IvfIndex(IvfParams(nlist=4, seed=1))
+    hnsw = HnswIndex(HnswParams(m=4, ef_construction=16))
+    with warnings.catch_warnings():  # ivf's and the graph's float64 math
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ivf.train(rows)
+        for doc in docs(rows, lambda i: {"g": i % 3}):
+            for index in (flat, ivf, hnsw):
+                index.insert(doc)
+    kept = [i for i in range(len(rows)) if i % 3 != 1]
+    filt = parse_filter("g!=1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for q in queries:
+            for k in KS:
+                want = brute_force(rows, ids, q, k)
+                assert counted_search(flat, lambda: flat.search(
+                    Vector(q), k), len(rows), k) == want
+                assert counted_search(ivf, lambda: ivf.search(
+                    Vector(q), k, nprobe=4), len(rows), k) == want
+                assert counted_search(hnsw, lambda: hnsw.search_filtered(
+                    Vector(q), k, filt), len(kept), k) == brute_force(
+                        rows[kept], [ids[i] for i in kept], q, k)
+    for index in (flat, ivf, hnsw):
+        assert index.rows_screened > 0
+        assert (index.screen_fallbacks > 0) == overflows
+
+
+def test_the_screen_reranks_at_most_2k_rows_of_10k(rng):
+    """On 10k unit rows of dim 64 the screen passes about k rows to the
+    kernel: a bound gone loose would pass more and still be exact."""
+    index = FlatIndex()
+    for doc in docs(unit_rows(rng, 10_000, 64)):
+        index.insert(doc)
+    for q in unit_rows(rng, 100, 64):
+        index.search(Vector(q), 10)
+    assert index.rows_screened == 100 * 10_000
+    assert index.rows_reranked <= 100 * 2 * 10
+    assert index.screen_fallbacks == 0
+
+
+@pytest.mark.parametrize("norm", [30.0, 1e3, 1e6])
+def test_one_row_of_large_norm_keeps_the_rerank_small(rng, norm):
+    """One row far longer than the rest loosens the bound at max |x| until
+    it passes every row, and max_norm2 keeps that norm after the row is
+    removed: bounding each row by its own norm still passes about k."""
+    rows = unit_rows(rng, 2000, 16)
+    big = norm * unit_rows(rng, 1, 16)[0]
+    index = FlatIndex()
+    for doc in docs(rows):
+        index.insert(doc)
+    index.insert(Document("big", "", {}, Vector(big)))
+    ids = [f"d{i:04d}" for i in range(2000)]
+    for pool_rows, pool_ids in ((np.vstack([rows, big]), ids + ["big"]),
+                                (rows, ids)):
+        index.rows_reranked = 0
+        for q in unit_rows(rng, 20, 16):
+            assert counted_search(index, lambda: index.search(Vector(q), 10),
+                                  len(pool_ids), 10) == \
+                brute_force(pool_rows, pool_ids, q, 10)
+        assert index.rows_reranked <= 20 * 2 * 10
+        assert index._table.max_norm2 >= norm ** 2 * (1 - 1e-12)
+        index.remove("big")
+
+
+# -- the screen matrix in step with the rows ---------------------------------
+
+def assert_screen_exact(index) -> None:
+    """Each screened slot holds float32 [row, row @ row], and max_norm2 is
+    at least every live row's squared norm."""
+    t = index._table
+    lag = t._screened
+    want = np.hstack([t.rows, np.array([[row @ row] for row in t.rows])])
+    with np.errstate(over="ignore"):
+        want = want.astype(np.float32)
+    assert np.array_equal(t._screen[:lag], want[:lag])
+    assert np.array_equal(t.screen, want)
+    assert t.max_norm2 >= max(row @ row for row in t.rows)
+
+
+def assert_search_exact(index, rng, dim: int) -> None:
+    t = index._table
+    live = sorted(t.slot_of, key=t.slot_of.get)
+    rows = np.array([t.rows[t.slot_of[doc_id]] for doc_id in live])
+    for q in list(rows[rng.choice(len(rows), 2)]) + list(
+            unit_rows(rng, 2, dim)):
+        for k in (1, 10):
+            hits = index.search(Vector(q), k)
+            assert [(h.doc_id, h.distance) for h in hits] == \
+                brute_force(rows, live, q, k)
+    assert_screen_exact(index)
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_the_screen_follows_removes_replaces_growth_and_reload(tmp_path, rng,
+                                                               kind):
+    dim = 6
+    index = make_index(kind, rng, dim)
+    rows = unit_rows(rng, 1000, dim)
+    for doc in docs(rows[:300]):
+        index.insert(doc)
+    t = index._table
+    assert_search_exact(index, rng, dim)          # screened: 300 slots
+    assert t._screened == 300
+    for doc in docs(rows[:320])[300:]:            # slots 300-319 unscreened
+        index.insert(doc)
+    index.remove(t.ids[10])                       # a middle slot, moved into
+    assert t._screened == 300                     # from past the prefix
+    index.remove(t.ids[t.count - 1])              # the last slot
+    index.remove(t.ids[305])                      # a slot past the prefix
+    assert_search_exact(index, rng, dim)
+    index.remove(t.ids[t.count - 1])              # the last, screened slot
+    index.remove(t.ids[40])                       # a middle, from a screened
+    assert_search_exact(index, rng, dim)
+    replaced = t.ids[7]                           # a replace: remove+insert
+    index.insert(Document(replaced, "", {}, Vector(3.0 * rows[999])))
+    assert t.slot_of[replaced] == t.count - 1
+    assert_search_exact(index, rng, dim)
+    capacity = t._screen.shape[0]
+    for doc in docs(rows)[320:320 + capacity]:   # past the capacity
+        index.insert(doc)
+    assert_search_exact(index, rng, dim)
+    assert t._screen.shape[0] > capacity
+    assert t.max_norm2 >= 9.0 * (rows[999] @ rows[999]) * (1 - 1e-12)
+    index.save(tmp_path / "index.snap")
+    loaded = load_index(tmp_path / "index.snap")
+    assert loaded._table._screened == 0           # left to fill lazily
+    assert_search_exact(loaded, rng, dim)
+    for doc_id in loaded._table.ids[::3]:
+        loaded.remove(doc_id)
+    for doc in docs(rows[:50]):
+        loaded.insert(Document("r" + doc.id, "", {}, doc.embedding))
+    assert_search_exact(loaded, rng, dim)
