@@ -96,6 +96,12 @@ class RawJson(list):
     order, which save_index writes as they are."""
 
 
+def docs_json(frags: list[bytes]) -> RawJson:
+    """The JSON array of the documents whose fragments (fragment()) these
+    are."""
+    return RawJson([b"[", b"},".join(frags), b"}]"] if frags else [b"[]"])
+
+
 def pack_array(arr: np.ndarray) -> dict:
     """Snapshot encoding of a float array: its shape, and its little-endian
     float64 bytes in base64, so a load restores the exact values."""
@@ -125,13 +131,14 @@ class SlotTable:
     encoded lazily: columns() encodes the slots appended, moved into or
     rewritten since its last call, and only those (encodings counts every
     slot it has encoded). So is what a snapshot writes of the slots: each
-    document's JSON fragment, which fragments() encodes (fragment_encodings
+    document's JSON fragment, which fragment() encodes (fragment_encodings
     counts them), and the base64 of each block of three rows, which
     rows_json() encodes. The squared norms are lazy too: set below
     _normed. So is the float32 screen matrix [x, |x|^2] that _scan's gemv
     reads, 4 (dim + 1) bytes per row of capacity: filled below _screened,
-    with max_norm2 the largest squared norm it has taken in. A removal may
-    leave max_norm2 too high, which only loosens the screen's bound."""
+    with max_norm2 the largest squared norm among its rows. A removal of a
+    row of that norm marks it stale, and the next read of the screen
+    recomputes it."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
@@ -140,6 +147,7 @@ class SlotTable:
         self._screen = np.zeros((0, 0), dtype=np.float32)
         self._screened = 0
         self.max_norm2 = 0.0
+        self._max_stale = False
         self._tags = np.zeros(0, dtype=np.int64)
         self.count = 0
         self.ids: list[str] = []
@@ -187,6 +195,9 @@ class SlotTable:
             self.norms  # computes the new rows' norms
             self._fill_screen(lo, hi)
             self._screened = hi
+        if self._max_stale:
+            self.max_norm2 = float(self._norms[:hi].max(initial=0.0))
+            self._max_stale = False
         return self._screen[:hi]
 
     def _fill_screen(self, lo: int, hi: int) -> None:
@@ -261,6 +272,8 @@ class SlotTable:
         slot_of or re-points it."""
         slot = self.slot_of[doc_id]
         last = self.count - 1
+        if slot < self._screened and self._norms[slot] >= self.max_norm2:
+            self._max_stale = True
         if slot != last:
             self._data[slot] = self._data[last]
             self._tags[slot] = self._tags[last]
@@ -293,20 +306,24 @@ class SlotTable:
         if slot < self._columns.count:
             self._stale.add(slot)
 
+    def fragment(self, slot: int) -> bytes:
+        """A live slot's document as JSON without its closing brace,
+        {"id":...,"text":...,"meta":{...}, so a kind can add fields; encoded
+        now if it was appended, moved into or rewritten since."""
+        frag = self._fragments[slot]
+        if frag is None:
+            frag = self._fragments[slot] = ('{"id":%s,"text":%s,"meta":%s' % (
+                encode_json(self.ids[slot]), encode_json(self.texts[slot]),
+                encode_json(dict(self.metas[slot])))).encode()
+            self.fragment_encodings += 1
+        return frag
+
     def fragments(self) -> list[bytes | None]:
-        """Each slot's document as JSON without its closing brace,
-        {"id":...,"text":...,"meta":{...}, so a kind can add fields; None
-        for a dead slot. Those of the live slots appended, moved into or
-        rewritten since the last call are encoded now, and only those."""
-        frags, ids, texts, metas = (self._fragments, self.ids, self.texts,
-                                    self.metas)
-        todo = [s for s, frag in enumerate(frags)
-                if frag is None and metas[s] is not None]
-        for s in todo:
-            frags[s] = ('{"id":%s,"text":%s,"meta":%s' % (
-                encode_json(ids[s]), encode_json(texts[s]),
-                encode_json(dict(metas[s])))).encode()
-        self.fragment_encodings += len(todo)
+        """Each slot's fragment(), None for a dead slot."""
+        frags, metas = self._fragments, self.metas
+        for s in [s for s, frag in enumerate(frags)
+                  if frag is None and metas[s] is not None]:
+            self.fragment(s)
         return frags
 
     def _unencode(self, slot: int) -> None:
@@ -354,9 +371,16 @@ class VectorIndex(ABC):
     counts the mutations: an insert, and a remove that removes something.
     The exact scan counts its work: rows_screened, rows_reranked by the
     difference kernel, and screen_fallbacks, screens that were not finite
-    and so ranked their whole pool."""
+    and so ranked their whole pool.
+
+    A framed kind's snapshot can grow by change frames (snapshot.py): _base
+    is the file this index last saved or loaded (None: none, or its last
+    frame failed), and _changed the ids inserted, replaced or removed
+    since, in first-change order (None: not tracked, so the next save is
+    full)."""
 
     kind: ClassVar[str]
+    framed: ClassVar[bool] = True
 
     def __init__(self):
         self._dim: int | None = None
@@ -364,6 +388,8 @@ class VectorIndex(ABC):
         self._table = SlotTable()
         self.version = 0
         self.rows_screened = self.rows_reranked = self.screen_fallbacks = 0
+        self._base = None
+        self._changed: dict[str, None] | None = None
 
     # -- introspection --------------------------------------------------
 
@@ -392,6 +418,8 @@ class VectorIndex(ABC):
         with self._lock:
             self._check_insert_dim(doc.embedding.dim)
             self.version += 1
+            if self._changed is not None:
+                self._changed[doc.id] = None
             if doc.id in self._table.slot_of:
                 self._remove_vector(doc.id)  # the insert re-points the id
             self._insert_vector(doc)
@@ -402,6 +430,8 @@ class VectorIndex(ABC):
             if doc_id not in self._table.slot_of:
                 return False
             self.version += 1
+            if self._changed is not None:
+                self._changed[doc_id] = None
             self._remove_vector(doc_id)
             del self._table.slot_of[doc_id]
             return True
@@ -437,7 +467,8 @@ class VectorIndex(ABC):
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write a versioned snapshot; load_index() restores it verbatim."""
+        """Write a versioned snapshot, or append the changes since the last
+        save to it; load_index() restores it verbatim."""
         from .snapshot import save_index
 
         save_index(self, path)
@@ -447,10 +478,7 @@ class VectorIndex(ABC):
         already encoded: here the documents in slot order and their rows;
         kinds with more state add to it or replace it."""
         t = self._table
-        frags = t.fragments()
-        return {"docs": RawJson([b"[", b"},".join(frags), b"}]"] if frags
-                                else [b"[]"]),
-                "vectors": t.rows_json()}
+        return {"docs": docs_json(t.fragments()), "vectors": t.rows_json()}
 
     @classmethod
     def _from_state(cls, state: dict[str, Any]) -> "VectorIndex":
@@ -463,8 +491,11 @@ class VectorIndex(ABC):
     def _insert_docs(self, state: dict[str, Any]) -> None:
         """Fill the empty slot table with the payload's documents and rows,
         in slot order, in one step (SlotTable.extend). The rows' width sets
-        the dimension even when there are no rows, as in the saved index."""
-        docs, rows = state["docs"], unpack_array(state["vectors"])
+        the dimension even when there are no rows, as in the saved index.
+        The rows come decoded when load_index folded change frames in."""
+        docs, rows = state["docs"], state["vectors"]
+        if not isinstance(rows, np.ndarray):
+            rows = unpack_array(rows)
         ids = [doc["id"] for doc in docs]
         if rows.shape[-1]:
             self._check_insert_dim(rows.shape[-1])

@@ -84,6 +84,7 @@ def _all_of(cls: type, values) -> bool:
 
 class HnswIndex(VectorIndex):
     kind = "hnsw"
+    framed = False  # its graph is not per-document state: saves are full
 
     _BEAM_SLACK = 1.05  # query beams expand until outside this radius factor
 

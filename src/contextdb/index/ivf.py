@@ -113,6 +113,7 @@ class IvfIndex(VectorIndex):
                 raise TrainingDataError(required=nlist, got=n)
             self._set_centroids(_kmeans(x, nlist, self.params.kmeans_iters,
                                         self.params.seed))
+            self._changed = None  # no change frame holds centroids
 
     def _set_centroids(self, centroids: np.ndarray) -> None:
         if centroids.ndim != 2 or not centroids.size or \

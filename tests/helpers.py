@@ -52,6 +52,28 @@ def log_records(path: Path) -> list[dict]:
 
 # index snapshot header: magic, version, dim, kind, count, payload length
 HEADER = struct.Struct("<8sIIBQQ")
+# change frame header: payload length, live documents after the frame
+FRAME = struct.Struct("<QQ")
+
+
+def base_size(blob: bytes) -> int:
+    """The bytes of a snapshot's base: header, payload and CRC."""
+    return HEADER.size + HEADER.unpack_from(blob)[-1] + 4
+
+
+def snapshot_frames(blob: bytes) -> list[tuple[int, bytes]]:
+    """(live count, JSON payload) of each change frame after a snapshot's
+    base, read without the library; each must be whole, with a good CRC."""
+    frames, at = [], base_size(blob)
+    while at < len(blob):
+        length, live = FRAME.unpack_from(blob, at)
+        stop = at + FRAME.size + length
+        assert struct.unpack_from("<I", blob, stop)[0] == \
+            zlib.crc32(blob[at:stop])
+        frames.append((live, blob[at + FRAME.size:stop]))
+        at = stop + 4
+    assert at == len(blob)
+    return frames
 
 
 def rewrite_payload(path: Path, edit) -> None:

@@ -410,8 +410,8 @@ def test_the_screen_reranks_at_most_2k_rows_of_10k(rng):
 @pytest.mark.parametrize("norm", [30.0, 1e3, 1e6])
 def test_one_row_of_large_norm_keeps_the_rerank_small(rng, norm):
     """One row far longer than the rest loosens the bound at max |x| until
-    it passes every row, and max_norm2 keeps that norm after the row is
-    removed: bounding each row by its own norm still passes about k."""
+    it passes every row: bounding each row by its own norm still passes
+    about k. Once the row is removed, max_norm2 is the rest's again."""
     rows = unit_rows(rng, 2000, 16)
     big = norm * unit_rows(rng, 1, 16)[0]
     index = FlatIndex()
@@ -427,8 +427,42 @@ def test_one_row_of_large_norm_keeps_the_rerank_small(rng, norm):
                                   len(pool_ids), 10) == \
                 brute_force(pool_rows, pool_ids, q, 10)
         assert index.rows_reranked <= 20 * 2 * 10
-        assert index._table.max_norm2 >= norm ** 2 * (1 - 1e-12)
+        assert index._table.max_norm2 == max(row @ row for row in pool_rows)
         index.remove("big")
+
+
+def test_removing_the_one_long_row_ends_the_per_row_pass(rng, monkeypatch):
+    """One row of norm 1e3 among 10k unit rows of dim 64 loosens the bound
+    at max |x| until every search bounds each row by its own norm. Once
+    that row is removed, max_norm2 shrinks back to the unit rows' and the
+    screen alone passes about k rows again."""
+    from contextdb.index import base
+
+    per_row = []
+
+    def counting_bound(dim, rows_max2, qq, dtype):
+        per_row.append(np.ndim(rows_max2) > 0)
+        return screen_bound(dim, rows_max2, qq, dtype)
+
+    screen_bound = base.screen_bound
+    monkeypatch.setattr(base, "screen_bound", counting_bound)
+    rows = unit_rows(rng, 10_000, 64)
+    index = FlatIndex()
+    for doc in docs(rows):
+        index.insert(doc)
+    index.insert(Document("long", "", {}, Vector(1e3 * rows[0])))
+    queries = unit_rows(rng, 100, 64)
+    for q in queries[:10]:
+        index.search(Vector(q), 10)
+    assert sum(per_row) == 10
+    index.remove("long")
+    per_row.clear()
+    index.rows_reranked = 0
+    for q in queries:
+        index.search(Vector(q), 10)
+    assert index._table.max_norm2 == max(row @ row for row in rows)
+    assert sum(per_row) == 0
+    assert index.rows_reranked <= 100 * 2 * 10
 
 
 # -- the screen matrix in step with the rows ---------------------------------

@@ -2,6 +2,7 @@ import errno
 import json
 import logging
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -13,7 +14,8 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        save_index)
 from contextdb.index import snapshot
 from contextdb.index.base import SlotTable, pack_array, unpack_array
-from helpers import HEADER, make_docs, rewrite_payload, unit_rows
+from helpers import (HEADER, base_size, make_docs, rewrite_payload,
+                     snapshot_frames, unit_rows)
 from snapshot_v1 import make as snapshot_v1
 
 
@@ -504,9 +506,12 @@ def test_saves_under_churn_match_the_json_encoder(tmp_path, rng, kind):
             else:
                 assert index.remove(live.pop(int(rng.integers(len(live)))))
         index.save(path)
-        payload = path.read_bytes()[HEADER.size:-4]
-        assert payload == json.dumps(json.loads(payload),
-                                     separators=(",", ":")).encode("utf-8")
+        blob = path.read_bytes()
+        payload = blob[HEADER.size:base_size(blob) - 4]
+        for json_bytes in [payload] + [frame for _, frame in
+                                       snapshot_frames(blob)]:
+            assert json_bytes == json.dumps(json.loads(json_bytes),
+                                            separators=(",", ":")).encode()
         restored = load_index(path)
         assert hits(restored, queries) == hits(index, queries)
         for doc_id in live:
@@ -550,9 +555,12 @@ def test_rows_json_follows_every_row_write(rng):
     check()
 
 
-def saved_fragments(caplog) -> list[int]:
-    return [r.args["fragments"] for r in caplog.records
-            if r.name == "contextdb.snapshot" and r.msg.startswith("saved")]
+def saved_fragments(caplog) -> list[tuple[str, int | None]]:
+    """Each save's log message, saved (full), appended (a change frame) or
+    unchanged (nothing written), with the fragments it encoded."""
+    return [(r.msg.split()[0], r.args.get("fragments"))
+            for r in caplog.records if r.name == "contextdb.snapshot"
+            and r.msg.startswith(("saved", "appended", "unchanged"))]
 
 
 @pytest.mark.parametrize("kind", ["flat", "ivf"])
@@ -571,8 +579,12 @@ def test_a_save_encodes_only_the_documents_changed_since_the_last(
         index.remove(f"d{i:02d}")
     index.save(path)
     loaded = load_index(path)
+    before = path.read_bytes()
     loaded.save(path)
-    assert saved_fragments(caplog) == [60, 0, 3, 58]
+    assert path.read_bytes() == before
+    assert loaded._table.fragment_encodings == 0
+    assert saved_fragments(caplog) == [("saved", 60), ("unchanged", None),
+                                       ("saved", 3), ("unchanged", None)]
     save, load = [r.args for r in caplog.records if r.msg.startswith(
         ("saved", "loaded"))][-2:][::-1]
     for record in (load, save):
@@ -744,3 +756,374 @@ def test_empty_indexes_round_trip(tmp_path, rng, which):
         loaded.insert(doc)
     hit = loaded.search(Vector(rows[3]), 1)[0]
     assert (hit.doc_id, hit.distance) == ("d00003", 0.0)
+
+
+# -- change frames -----------------------------------------------------------
+
+FRAMED = ["flat", "ivf"]
+
+
+def framed_index(kind: str, rng, n: int = 400, dim: int = 4):
+    """An index of n documents, large enough beside a change of a few of
+    them that its saves append frames."""
+    index = new_index(kind, rng, dim)
+    for i in range(n):
+        index.insert(Document(f"d{i:05d}", f"text {i}", {"n": i},
+                              Vector(rng.standard_normal(dim))))
+    return index
+
+
+def state_of(index, queries) -> tuple:
+    """What a load must restore: hits for the queries and every document."""
+    t = index._table
+    return hits(index, queries), {doc_id: index.get(doc_id)
+                                  for doc_id in t.slot_of}
+
+
+def churn(index, rng, n_ops: int, dim: int = 4) -> None:
+    """n_ops seeded inserts of new ids, replaces and removes."""
+    for _ in range(n_ops):
+        op, ids = rng.random(), index._table.ids
+        if op < 0.4:
+            doc_id = f"n{rng.integers(1 << 40)}"
+        elif op < 0.7:
+            doc_id = ids[int(rng.integers(len(ids)))]
+        else:
+            assert index.remove(ids[int(rng.integers(len(ids)))])
+            continue
+        index.insert(Document(doc_id, f"text {doc_id}", {"n": op},
+                              Vector(rng.standard_normal(dim))))
+
+
+def save_messages(caplog) -> list[tuple[str, dict]]:
+    return [(r.msg.split()[0], r.args) for r in caplog.records
+            if r.name == "contextdb.snapshot" and r.msg.startswith(
+                ("saved", "appended", "unchanged"))]
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_a_save_to_the_file_it_last_wrote_appends_one_frame(tmp_path, rng,
+                                                             kind):
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    queries = rng.standard_normal((5, 4))
+    index.save(path)
+    base = path.read_bytes()
+    index.remove("d00007")
+    index.insert(Document("d00003", "moved", {"n": -1}, Vector(np.ones(4))))
+    index.insert(Document("new", "", {}, Vector(np.zeros(4))))
+    index.save(path)
+    blob = path.read_bytes()
+    assert blob.startswith(base)
+    [(count, frame)] = snapshot_frames(blob)
+    assert count == len(index) == 400
+    assert json.loads(frame)["removed"] == ["d00007"]
+    assert [d["id"] for d in json.loads(frame)["docs"]] == ["d00003", "new"]
+    assert state_of(load_index(path), queries) == state_of(index, queries)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_a_save_with_no_changes_writes_nothing(tmp_path, rng, kind):
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    index.save(path)
+    stat = os.stat(path)
+    index.save(path)
+    loaded = load_index(path)
+    loaded.save(path)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+        (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    assert loaded._table.fragment_encodings == 0
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_a_cut_anywhere_in_the_last_frame_loads_the_save_before(
+        tmp_path, rng, caplog, kind):
+    """Every cut of the last frame, from its first byte to its last, loads
+    the state of the save before; the whole frame, the state after. The
+    next save writes over the torn bytes."""
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    queries = rng.standard_normal((5, 4))
+    index.save(path)
+    index.insert(Document("d00001", "first", {"n": 1.5},
+                          Vector(np.full(4, 0.1))))
+    index.save(path)
+    before, start = state_of(index, queries), path.stat().st_size
+    index.remove("d00002")
+    index.insert(Document("d00009", "second", {"n": 2.5},
+                          Vector(np.full(4, -0.2))))
+    index.save(path)
+    after, blob = state_of(index, queries), path.read_bytes()
+    assert len(snapshot_frames(blob)) == 2
+    cut = tmp_path / "cut.snap"
+    for end in range(start, len(blob) + 1):
+        cut.write_bytes(blob[:end])
+        caplog.clear()
+        want = after if end == len(blob) else before
+        assert state_of(load_index(cut), queries) == want
+        assert read_header(cut)["count"] == len(want[1])
+        torn = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert bool(torn) == (start < end < len(blob))
+        if torn:
+            assert f"bytes {start} to {end}" in torn[0].getMessage()
+    cut.write_bytes(blob[:-1])     # a torn frame longer than the next
+    loaded = load_index(cut)
+    loaded.remove("d00004")
+    loaded.save(cut)
+    [_, (count, _)] = snapshot_frames(cut.read_bytes())
+    assert count == len(before[1]) - 1
+    assert state_of(load_index(cut), queries) == state_of(loaded, queries)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_a_flipped_byte_in_a_frame_before_the_last_is_corrupt(tmp_path, rng,
+                                                              kind):
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    index.save(path)
+    for doc_id in ("d00001", "d00002"):
+        index.insert(Document(doc_id, "", {}, Vector(np.ones(4))))
+        index.save(path)
+    blob = path.read_bytes()
+    assert len(snapshot_frames(blob)) == 2
+    start = base_size(blob)
+    stop = start + 16 + struct.unpack_from("<Q", blob, start)[0] + 4
+    for at in range(start, stop):
+        bad = bytearray(blob)
+        bad[at] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(SnapshotCorruptError):
+            load_index(path)
+
+
+def test_bytes_after_an_hnsw_snapshot_are_corrupt(tmp_path, rng):
+    flat, path = framed_index("flat", rng), tmp_path / "f.snap"
+    flat.save(path)
+    flat.remove("d00001")
+    flat.save(path)
+    blob = path.read_bytes()
+    frame = blob[base_size(blob):]
+    assert len(snapshot_frames(blob)) == 1
+    hnsw = framed_index("hnsw", rng, n=50)
+    hnsw.save(path)
+    hnsw.remove("d00001")
+    hnsw.save(path)
+    assert snapshot_frames(path.read_bytes()) == []   # a full save
+    for tail in (frame, frame[:7]):
+        path.write_bytes(path.read_bytes()[:base_size(path.read_bytes())]
+                         + tail)
+        with pytest.raises(SnapshotCorruptError, match="after a hnsw"):
+            load_index(path)
+        with pytest.raises(SnapshotCorruptError):
+            read_header(path)
+
+
+def assert_full_save(path, caplog, reason: str) -> None:
+    assert snapshot_frames(path.read_bytes()) == []
+    word, args = save_messages(caplog)[-1]
+    assert (word, args["reason"]) == ("saved", reason)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+@pytest.mark.parametrize("how", ["copied over", "replaced", "touched"])
+def test_a_save_over_a_file_changed_since_is_full(tmp_path, rng, caplog,
+                                                   kind, how):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    other = tmp_path / "other.snap"
+    queries = rng.standard_normal((5, 4))
+    index.save(path)
+    small_flat().save(other)
+    index.remove("d00005")
+    if how == "copied over":       # the same inode, other bytes
+        shutil.copyfile(other, path)
+    elif how == "replaced":        # the same bytes, another inode
+        shutil.copyfile(path, other)
+        os.replace(other, path)
+    else:
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1000))
+    index.save(path)
+    assert_full_save(path, caplog, "file changed")
+    assert state_of(load_index(path), queries) == state_of(index, queries)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_a_second_index_saving_to_the_path_makes_the_next_save_full(
+        tmp_path, rng, caplog, kind):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    path, queries = tmp_path / "s.snap", rng.standard_normal((5, 4))
+    first = framed_index(kind, rng)
+    first.save(path)
+    second = load_index(path)
+    second.remove("d00001")
+    second.save(path)              # a frame on the file first wrote
+    assert len(snapshot_frames(path.read_bytes())) == 1
+    first.remove("d00002")
+    first.save(path)
+    assert_full_save(path, caplog, "file changed")
+    assert state_of(load_index(path), queries) == state_of(first, queries)
+    first.save(tmp_path / "elsewhere.snap")
+    assert_full_save(tmp_path / "elsewhere.snap", caplog, "other path")
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_an_ivf_index_trained_after_its_first_save_saves_in_full(
+        tmp_path, rng, caplog, reload):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    path, queries = tmp_path / "s.snap", rng.standard_normal((5, 4))
+    index = IvfIndex(IvfParams(nlist=6, nprobe=6, seed=5))
+    index.save(path)
+    if reload:
+        index = load_index(path)
+    index.train(rng.standard_normal((40, 4)))
+    index.insert(Document("a", "", {}, Vector(np.ones(4))))
+    index.save(path)
+    assert_full_save(path, caplog, "trained")
+    assert state_of(load_index(path), queries) == state_of(index, queries)
+
+
+def test_a_flat_index_saved_empty_saves_in_full_once_it_has_a_dimension(
+        tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    index, path = FlatIndex(), tmp_path / "s.snap"
+    index.save(path)
+    index.insert(Document("a", "", {}, Vector([1.0, 2.0])))
+    index.save(path)
+    assert_full_save(path, caplog, "dimension set")
+    assert load_index(path).get("a") == index.get("a")
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_the_frames_stay_within_a_64th_of_the_base(tmp_path, rng, caplog,
+                                                   kind):
+    """Frames of one size: a save appends until the next would take them
+    past 1/64 of the base's bytes, and that save compacts: a full save,
+    with no frames, from which appends start again."""
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    queries = rng.standard_normal((5, 4))
+    index.save(path)
+    sizes = []
+    for step in range(40):
+        index.insert(Document("d00001", "", {}, Vector(np.full(4, step))))
+        index.save(path)
+        blob = path.read_bytes()
+        frames = len(snapshot_frames(blob))
+        assert len(blob) - base_size(blob) <= base_size(blob) // 64
+        sizes.append(frames)
+    words = [word for word, _ in save_messages(caplog)][1:]
+    frame_bytes = {args["bytes"] for word, args in save_messages(caplog)
+                   if word == "appended"}
+    assert len(frame_bytes) == 1
+    per_base = base_size(blob) // 64 // frame_bytes.pop()
+    assert per_base >= 3
+    assert sizes[:2 * per_base + 2] == (list(range(1, per_base + 1)) + [0]) * 2
+    assert words[per_base] == "saved" and \
+        save_messages(caplog)[per_base + 1][1]["reason"] == "compaction"
+    assert state_of(load_index(path), queries) == state_of(index, queries)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_saves_after_each_batch_of_seeded_churn_load_equal(tmp_path, rng,
+                                                           kind):
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    queries = rng.standard_normal((5, 4))
+    index.save(path)
+    framed = compacted = 0
+    for batch in range(40):
+        churn(index, rng, int(rng.integers(0, 5)))
+        before = path.read_bytes()
+        index.save(path)
+        blob = path.read_bytes()
+        if len(blob) > len(before) and blob.startswith(before):
+            framed += 1
+        elif blob != before:
+            compacted += 1
+        assert read_header(path)["count"] == len(index)
+        loaded = load_index(path)
+        assert state_of(loaded, queries) == state_of(index, queries)
+        if batch % 10 == 9:        # go on from the loaded index
+            index = loaded
+    assert framed >= 10 and compacted >= 1
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_read_header_counts_the_documents_after_the_last_frame(tmp_path,
+                                                               rng, kind):
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    index.save(path)
+    counts = []
+    for doc_id in ("d00001", "d00002", "n1"):
+        if doc_id in index:
+            index.remove(doc_id)
+        else:
+            index.insert(Document(doc_id, "", {}, Vector(np.ones(4))))
+        index.save(path)
+        counts.append(read_header(path)["count"])
+    assert counts == [399, 398, 399]
+    assert [count for count, _ in snapshot_frames(path.read_bytes())] == \
+        counts
+    assert HEADER.unpack_from(path.read_bytes())[4] == 400
+
+
+class HalfAppender(HalfWriter):
+    """HalfWriter for an append only; a temp file's write goes through."""
+
+    def writelines(self, pieces):
+        if self.inner.name.endswith(".tmp"):
+            return self.inner.writelines(pieces)
+        return super().writelines(pieces)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+@pytest.mark.parametrize("fail", ["write", "fsync"])
+def test_a_failed_append_cuts_the_file_back_and_the_next_save_is_full(
+        tmp_path, rng, monkeypatch, caplog, kind, fail):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    queries = rng.standard_normal((5, 4))
+    index.save(path)
+    index.remove("d00001")
+    index.save(path)
+    before, saved = path.read_bytes(), state_of(index, queries)
+    index.remove("d00002")
+    with monkeypatch.context() as patch:
+        if fail == "write":
+            patch.setattr(snapshot, "open", lambda *a, **kw:
+                          HalfAppender(open(*a, **kw)), raising=False)
+        else:
+            def fsync(fd):
+                raise OSError(errno.EIO, "Input/output error")
+            patch.setattr(os, "fsync", fsync)
+        with pytest.raises(StorageError, match="cannot write snapshot"):
+            index.save(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.snap"]
+    assert path.read_bytes() == before
+    assert state_of(load_index(path), queries) == saved
+    index.save(path)
+    assert_full_save(path, caplog, "first save")
+    assert state_of(load_index(path), queries) == state_of(index, queries)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+def test_the_debug_log_records_each_append_and_each_full_saves_reason(
+        tmp_path, rng, caplog, kind):
+    caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    index.save(path)
+    size = path.stat().st_size
+    index.remove("d00001")
+    index.insert(Document("d00002", "", {}, Vector(np.ones(4))))
+    index.save(path)
+    word, args = save_messages(caplog)[-1]
+    assert word == "appended"
+    assert (args["path"], args["kind"]) == (str(path), kind)
+    assert (args["removed"], args["documents"], args["fragments"]) == (1, 1, 1)
+    assert args["bytes"] == path.stat().st_size - size
+    assert args["ms"] >= 0
+    index.save(tmp_path / "other.snap")
+    reasons = [args["reason"] for word, args in save_messages(caplog)
+               if word == "saved"]
+    assert reasons == ["first save", "other path"]
+    load_index(path)
+    load = [r.args for r in caplog.records if r.msg.startswith("loaded")][-1]
+    assert (load["documents"], load["frames"]) == (399, 1)
