@@ -10,6 +10,7 @@ import hashlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -150,6 +151,21 @@ def _validate_metadata(metadata: Mapping[str, MetaValue]) -> Mapping[str, MetaVa
             meta_kind(value)  # a subclass passes; others raise TypeError
         out[key] = value
     return MappingProxyType(out)
+
+
+def _validate_metadata_maps(maps: list) -> list[Mapping[str, MetaValue]]:
+    """_validate_metadata of each map, checked as one batch: the distinct
+    keys once, and the value types as one set. The caller hands the dicts
+    over: each is made read-only, not copied. Only when the batch finds a
+    fault does each map go through _validate_metadata in order, so the
+    first bad one raises as it would alone."""
+    if all(type(m) is dict for m in maps):
+        types = set(map(type, chain.from_iterable(map(dict.values, maps))))
+        if types <= _META_KINDS.keys() and all(
+                isinstance(key, str) and key and key.split() == [key]
+                for key in set().union(*maps)):
+            return list(map(MappingProxyType, maps))
+    return [_validate_metadata(m) for m in maps]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import (Document, MetaValue, Vector, _validate_metadata, count,
-                    sq_distances)
+from ..core import (Document, MetaValue, Vector, _validate_metadata_maps,
+                    count, sq_distances)
 from ..errors import DimensionMismatchError, EmptyIndexError
 from ..filters import FilterExpr, MetaColumns
 
@@ -103,8 +103,9 @@ def docs_json(frags: list[bytes]) -> RawJson:
 
 
 def pack_array(arr: np.ndarray) -> dict:
-    """Snapshot encoding of a float array: its shape, and its little-endian
-    float64 bytes in base64, so a load restores the exact values."""
+    """JSON encoding of a float array inside a snapshot (ivf's centroids,
+    and format v1's rows): its shape, and its little-endian float64 bytes
+    in base64, so a load restores the exact values."""
     a = np.ascontiguousarray(arr, dtype=_F8)
     return {"shape": list(a.shape),
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
@@ -130,15 +131,14 @@ class SlotTable:
     The metadata is also kept as columns for filtered search. They are
     encoded lazily: columns() encodes the slots appended, moved into or
     rewritten since its last call, and only those (encodings counts every
-    slot it has encoded). So is what a snapshot writes of the slots: each
-    document's JSON fragment, which fragment() encodes (fragment_encodings
-    counts them), and the base64 of each block of three rows, which
-    rows_json() encodes. The squared norms are lazy too: set below
-    _normed. So is the float32 screen matrix [x, |x|^2] that _scan's gemv
-    reads, 4 (dim + 1) bytes per row of capacity: filled below _screened,
-    with max_norm2 the largest squared norm among its rows. A removal of a
-    row of that norm marks it stale, and the next read of the screen
-    recomputes it."""
+    slot it has encoded). So is each document's JSON fragment, which a
+    snapshot writes and fragment() encodes (fragment_encodings counts them);
+    a snapshot writes the rows raw, as they are. The squared norms are lazy
+    too: set below _normed. So is the float32 screen matrix [x, |x|^2] that
+    _scan's gemv reads, 4 (dim + 1) bytes per row of capacity: filled below
+    _screened, with max_norm2 the largest squared norm among its rows. A
+    removal of a row of that norm marks it stale, and the next read of the
+    screen recomputes it."""
 
     def __init__(self):
         self._data = np.zeros((0, 0))
@@ -154,7 +154,6 @@ class SlotTable:
         self.texts: list[str | None] = []
         self.metas: list[Mapping[str, MetaValue] | None] = []
         self._fragments: list[bytes | None] = []  # None: not encoded yet
-        self._base64: list[bytes | None] = []     # per block of 3 rows
         self.slot_of: dict[str, int] = {}
         self._columns = MetaColumns()  # encoded below its count ...
         self._stale: set[int] = set()  # ... but for these
@@ -216,11 +215,12 @@ class SlotTable:
         (n, dim) float64 array, which the table keeps without a copy; each
         id a nonempty str; tags n ints. live lists the slots that hold a
         document, in the order slot_of takes them (None: every slot, in
-        order); their ids must differ, each text be a str and each metadata
-        map pass _validate_metadata, and it is stored read-only. The other
-        slots are dead (hnsw's tombstones): text and metadata None, and no
-        slot_of entry. The norms, metadata columns and fragments are left
-        to fill lazily, as for an append."""
+        order); their ids must differ, each text be a str, and their
+        metadata maps pass _validate_metadata_maps, which makes them
+        read-only without a copy. The other slots are dead (hnsw's
+        tombstones): text and metadata None, and no slot_of entry. The
+        norms, metadata columns and fragments are left to fill lazily, as
+        for an append."""
         assert not self.count, "extend fills an empty table"
         n = len(ids)
         if rows.ndim != 2 or rows.shape[0] != n or (n and not rows.shape[1]):
@@ -236,8 +236,9 @@ class SlotTable:
         if not all(isinstance(texts[s], str) for s in live):
             raise TypeError("document text must be a string")
         frozen: list[Mapping[str, MetaValue] | None] = [None] * n
-        for s in live:
-            frozen[s] = _validate_metadata(metas[s])
+        for s, meta in zip(live, _validate_metadata_maps(
+                [metas[s] for s in live])):
+            frozen[s] = meta
         self._data = np.require(rows, np.float64, "CWO")
         self._norms = np.zeros(n)
         self._tags = np.array(tags, dtype=np.int64)
@@ -277,7 +278,6 @@ class SlotTable:
         if slot != last:
             self._data[slot] = self._data[last]
             self._tags[slot] = self._tags[last]
-            self._unencode(slot)
             if slot < self._normed:  # the moved row may have had none
                 self._norms[slot] = self._data[slot] @ self._data[slot]
             if last < self._screened:
@@ -291,7 +291,6 @@ class SlotTable:
                 self._stale.add(slot)
         for column in (self.ids, self.texts, self.metas, self._fragments):
             column.pop()
-        self._unencode(last)
         self.count = last
         self._columns.count = min(self._columns.count, last)
         self._normed = min(self._normed, last)
@@ -325,29 +324,6 @@ class SlotTable:
                   if frag is None and metas[s] is not None]:
             self.fragment(s)
         return frags
-
-    def _unencode(self, slot: int) -> None:
-        """Drop the cached base64 of the block of rows holding slot."""
-        if slot // 3 < len(self._base64):
-            self._base64[slot // 3] = None
-
-    def rows_json(self) -> RawJson:
-        """pack_array(rows) as JSON. A full block of three rows is 24 * dim
-        bytes, whole base64 quanta, so the blocks' base64 joins into the
-        rows'. Full blocks keep theirs, and only those written since the
-        last call (swap_remove drops them) are encoded now; an append only
-        fills the partial last block, which is never kept. Base64's
-        alphabet needs no JSON escaping."""
-        blocks, rows = self._base64, np.ascontiguousarray(self.rows, _F8)
-        n = self.count // 3
-        del blocks[n:]
-        blocks += [None] * (n - len(blocks))
-        for b, block in enumerate(blocks):
-            if block is None:
-                blocks[b] = base64.b64encode(rows[3 * b:3 * b + 3])
-        return RawJson([b'{"shape":%s,"data":"' % encode_json(
-            rows.shape).encode(), b"".join(blocks),
-            base64.b64encode(rows[3 * n:]), b'"}'])
 
     def columns(self) -> MetaColumns:
         """The metadata columns of the slots, brought up to date. They are
@@ -475,10 +451,11 @@ class VectorIndex(ABC):
 
     def _state(self) -> dict[str, Any]:
         """The snapshot payload, a JSON object whose RawJson values are
-        already encoded: here the documents in slot order and their rows;
-        kinds with more state add to it or replace it."""
+        already encoded and whose array value, the rows, is written raw:
+        here the documents in slot order and their rows; kinds with more
+        state add to it or replace it."""
         t = self._table
-        return {"docs": docs_json(t.fragments()), "vectors": t.rows_json()}
+        return {"docs": docs_json(t.fragments()), "vectors": t.rows}
 
     @classmethod
     def _from_state(cls, state: dict[str, Any]) -> "VectorIndex":
@@ -492,10 +469,8 @@ class VectorIndex(ABC):
         """Fill the empty slot table with the payload's documents and rows,
         in slot order, in one step (SlotTable.extend). The rows' width sets
         the dimension even when there are no rows, as in the saved index.
-        The rows come decoded when load_index folded change frames in."""
+        load_index has decoded the rows to an array."""
         docs, rows = state["docs"], state["vectors"]
-        if not isinstance(rows, np.ndarray):
-            rows = unpack_array(rows)
         ids = [doc["id"] for doc in docs]
         if rows.shape[-1]:
             self._check_insert_dim(rows.shape[-1])

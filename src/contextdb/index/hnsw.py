@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from ..core import Document, count, sq_distances
-from .base import RawJson, VectorIndex, unpack_array
+from .base import RawJson, VectorIndex
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ class HnswIndex(VectorIndex):
                 "ids": table.ids,
                 "graph": self._graph,
                 "rng_state": self._rng.bit_generator.state,
-                "vectors": table.rows_json(),
+                "vectors": table.rows,
                 "docs": RawJson([b"[", b",".join(
                     [frags[slot] + b',"slot":%d}' % slot
                      for slot in table.slot_of.values()]), b"]"])}
@@ -317,7 +317,7 @@ class HnswIndex(VectorIndex):
         p = state["params"]
         index = cls(HnswParams(m=p["m"], ef_construction=p["ef_construction"],
                                ef_search=p["ef_search"], seed=p["seed"]))
-        rows = unpack_array(state["vectors"])
+        rows = state["vectors"]
         ids, alive, levels = state["ids"], state["alive"], state["levels"]
         index._graph = graph = state["graph"]
         index._entry = entry = state["entry"]

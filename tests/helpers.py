@@ -7,8 +7,10 @@ and store behavior is checked against something that cannot share its bugs.
 
 from __future__ import annotations
 
+import base64
 import errno
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -54,6 +56,8 @@ def log_records(path: Path) -> list[dict]:
 HEADER = struct.Struct("<8sIIBQQ")
 # change frame header: payload length, live documents after the frame
 FRAME = struct.Struct("<QQ")
+# a format v2 payload starts with its JSON's length; the raw rows follow it
+JSON_LEN = struct.Struct("<Q")
 
 
 def base_size(blob: bytes) -> int:
@@ -61,29 +65,75 @@ def base_size(blob: bytes) -> int:
     return HEADER.size + HEADER.unpack_from(blob)[-1] + 4
 
 
+def split_payload(payload: bytes, version: int) -> tuple[bytes, bytes]:
+    """A base's or change frame's payload as (JSON, raw rows), read without
+    the library. In format v2 the JSON's "vectors" must be {"shape": [n,
+    dim]} alone, and the raw section exactly those n * dim float64 values;
+    format v1 has no raw section."""
+    if version == 1:
+        return payload, b""
+    assert version == 2
+    end = JSON_LEN.size + JSON_LEN.unpack_from(payload)[0]
+    text, raw = payload[JSON_LEN.size:end], payload[end:]
+    vectors = json.loads(text)["vectors"]
+    assert list(vectors) == ["shape"]
+    assert len(raw) == 8 * math.prod(vectors["shape"])
+    return text, raw
+
+
+def snapshot_base(blob: bytes) -> tuple[bytes, bytes]:
+    """(JSON, raw rows) of a snapshot's base, whose CRC must be good."""
+    stop = base_size(blob) - 4
+    assert struct.unpack_from("<I", blob, stop)[0] == zlib.crc32(blob[:stop])
+    return split_payload(blob[HEADER.size:stop], HEADER.unpack_from(blob)[1])
+
+
 def snapshot_frames(blob: bytes) -> list[tuple[int, bytes]]:
-    """(live count, JSON payload) of each change frame after a snapshot's
-    base, read without the library; each must be whole, with a good CRC."""
+    """(live count, JSON) of each change frame after a snapshot's base,
+    read without the library; each must be whole, with a good CRC, and
+    laid out as its base's format says."""
     frames, at = [], base_size(blob)
+    version = HEADER.unpack_from(blob)[1]
     while at < len(blob):
         length, live = FRAME.unpack_from(blob, at)
         stop = at + FRAME.size + length
         assert struct.unpack_from("<I", blob, stop)[0] == \
             zlib.crc32(blob[at:stop])
-        frames.append((live, blob[at + FRAME.size:stop]))
+        text, _ = split_payload(blob[at + FRAME.size:stop], version)
+        frames.append((live, text))
         at = stop + 4
     assert at == len(blob)
     return frames
 
 
+def pack_array(arr: np.ndarray) -> dict:
+    """A float array as format v1 writes it inside the JSON: its shape, and
+    its little-endian float64 bytes in base64."""
+    a = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
 def rewrite_payload(path: Path, edit) -> None:
-    """Apply edit to a snapshot's decoded payload and re-frame it with a
-    valid CRC, so only the payload's shape is wrong."""
+    """Apply edit to the decoded payload of a format v2 snapshot's base and
+    re-frame it, frames dropped, with a valid CRC, so only the payload's
+    shape is wrong. edit sees "vectors" with the raw rows put inside it as
+    base64, as pack_array writes them; what it leaves there in that form
+    goes back to the raw section, and any other "vectors" is written as it
+    is, with no raw section."""
     blob = path.read_bytes()
     fields = list(HEADER.unpack_from(blob))
-    payload = json.loads(blob[HEADER.size:-4])
+    assert fields[1] == 2
+    text, raw = snapshot_base(blob)
+    payload = json.loads(text)
+    payload["vectors"] = pack_array(np.frombuffer(raw, dtype="<f8").reshape(
+        payload["vectors"]["shape"]))
     edit(payload)
+    vectors, raw = payload.get("vectors"), b""
+    if isinstance(vectors, dict) and "data" in vectors:
+        raw = base64.b64decode(vectors.pop("data"))
     body = json.dumps(payload).encode("utf-8")
+    body = JSON_LEN.pack(len(body)) + body + raw
     fields[-1] = len(body)
     blob = HEADER.pack(*fields) + body
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))

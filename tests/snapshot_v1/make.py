@@ -1,19 +1,23 @@
-"""Build the snapshot format v1 fixtures that tests/test_snapshot.py pins.
+"""The snapshot format v1 fixtures that tests/test_snapshot.py pins.
 
-    PYTHONPATH=src python tests/snapshot_v1/make.py
+Format v1 has no writer any more; these builders make the indexes that its
+committed files hold, so the tests can compare them:
 
-builds one small index per kind from fixed seeds (20 documents, dim 4, three
-removed and one replaced), saves each as <kind>.snap next to this file, and
-records the hits of fixed queries in hits.json. The committed files were
-written by the code from before the indexes kept their rows in a shared slot
-table and their snapshot state in per-kind methods. The tests load them and
-compare hits, and also rebuild each index with today's code and compare the
-saved bytes, so any drift in format v1 shows.
+- <kind>.snap, one small index per kind from fixed seeds (20 documents,
+  dim 4, three removed and one replaced), built by build(), with the hits
+  of fixed queries in hits.json. They were written by the code from before
+  the indexes kept their rows in a shared slot table and their snapshot
+  state in per-kind methods.
+- <kind>_frames.snap for flat and ivf, a base of 600 documents and three
+  v1 change frames, built and saved by build_framed(kind, path) with the
+  last code that wrote format v1 (commit da9cc33).
+
+The tests load them and compare hits and documents, and check that the
+next save of a loaded file writes format v2 (tests/snapshot_v2).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,7 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
 
 HERE = Path(__file__).resolve().parent
 KINDS = ("flat", "hnsw", "ivf")
+FRAMED = ("flat", "ivf")
 K = 5
 
 
@@ -64,15 +69,32 @@ def hits_of(index) -> list[list[list]]:
             for q in queries()]
 
 
-def main() -> None:
-    recorded = {}
-    for kind in KINDS:
-        index = build(kind)
-        index.save(HERE / f"{kind}.snap")
-        recorded[kind] = hits_of(index)
-    (HERE / "hits.json").write_text(json.dumps(recorded) + "\n",
-                                    encoding="utf-8")
-
-
-if __name__ == "__main__":
-    main()
+def build_framed(kind: str, path: Path | None = None):
+    """A flat or ivf index of 600 documents from fixed seeds, saved to path
+    (when given) and then changed in three rounds -- a remove, a replace,
+    an insert -- each saved after it: with a writer of change frames, a
+    base and three frames."""
+    rng = np.random.default_rng(23)
+    data = _rows(rng, 600)
+    if kind == "flat":
+        index = FlatIndex()
+    else:
+        index = IvfIndex(IvfParams(nlist=4, nprobe=2, seed=3))
+        index.train(data)
+    for i, row in enumerate(data):
+        index.insert(Document(id=f"f{i:03d}", text="", metadata={"n": i},
+                              embedding=Vector(row)))
+    steps = [lambda: index.remove("f001"),
+             lambda: index.insert(Document(
+                 id="f002", text="moved", metadata={"n": -2},
+                 embedding=Vector(_rows(rng, 1)[0]))),
+             lambda: index.insert(Document(
+                 id="new", text="new", metadata={"new": True},
+                 embedding=Vector(_rows(rng, 1)[0])))]
+    for step in steps:
+        if path is not None:
+            index.save(path)
+        step()
+    if path is not None:
+        index.save(path)
+    return index

@@ -4,6 +4,7 @@ import logging
 import os
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from contextdb import (Document, FlatIndex, HnswIndex, HnswParams, IvfIndex,
                        save_index)
 from contextdb.index import snapshot
 from contextdb.index.base import SlotTable, pack_array, unpack_array
-from helpers import (HEADER, base_size, make_docs, rewrite_payload,
-                     snapshot_frames, unit_rows)
+from helpers import (FRAME, HEADER, JSON_LEN, base_size, make_docs,
+                     rewrite_payload, snapshot_base, snapshot_frames,
+                     unit_rows)
 from snapshot_v1 import make as snapshot_v1
+from snapshot_v2 import make as snapshot_v2
 
 
 def build_each_kind(rng):
@@ -71,7 +74,7 @@ def test_header_fields(tmp_path, rng):
     header = read_header(path)
     assert header["kind"] == "ivf"
     assert header["dim"] == 10
-    assert header["version"] == 1
+    assert header["version"] == 2
     assert header["count"] == len(indexes["ivf"])
 
 
@@ -252,11 +255,65 @@ class TestFormatV1:
         assert "d11" not in index
 
     @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+    def test_read_header_reads_version_1(self, kind):
+        header = read_header(snapshot_v1.HERE / f"{kind}.snap")
+        assert (header["version"], header["kind"], header["count"]) == \
+            (1, kind, 17)
+
+
+class TestFormatV2:
+    """Fixtures of the same indexes in format v2 (see snapshot_v2/make.py)
+    pin the writer; each v1 fixture, loaded and saved, writes them."""
+
+    @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
     def test_save_writes_the_fixture_bytes(self, tmp_path, kind):
         path = tmp_path / f"{kind}.snap"
         snapshot_v1.build(kind).save(path)
         assert path.read_bytes() == \
-            (snapshot_v1.HERE / f"{kind}.snap").read_bytes()
+            (snapshot_v2.HERE / f"{kind}.snap").read_bytes()
+
+    @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+    def test_fixture_loads_hit_for_hit(self, kind):
+        recorded = json.loads((snapshot_v1.HERE / "hits.json").read_text())
+        path = snapshot_v2.HERE / f"{kind}.snap"
+        assert read_header(path)["version"] == 2
+        index = load_index(path)
+        assert index.kind == kind and len(index) == 17
+        assert snapshot_v1.hits_of(index) == recorded[kind]
+
+    @pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+    def test_a_loaded_v1_fixture_saves_the_v2_bytes(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.snap"
+        load_index(snapshot_v1.HERE / f"{kind}.snap").save(path)
+        assert path.read_bytes() == \
+            (snapshot_v2.HERE / f"{kind}.snap").read_bytes()
+
+    @pytest.mark.parametrize("kind", snapshot_v1.FRAMED)
+    def test_a_v1_base_with_v1_frames_loads_and_saves_in_full_as_v2(
+            self, tmp_path, rng, caplog, kind):
+        caplog.set_level(logging.DEBUG, logger="contextdb.snapshot")
+        fixture = snapshot_v1.HERE / f"{kind}_frames.snap"
+        assert HEADER.unpack_from(fixture.read_bytes())[1] == 1
+        assert [count for count, _ in snapshot_frames(
+            fixture.read_bytes())] == [599, 599, 600]
+        path, queries = tmp_path / "s.snap", rng.standard_normal((5, 4))
+        shutil.copyfile(fixture, path)
+        live = snapshot_v1.build_framed(kind)
+        loaded = load_index(path)
+        assert state_of(loaded, queries) == state_of(live, queries)
+        load = [r.args for r in caplog.records
+                if r.msg.startswith("loaded")][-1]
+        assert (load["version"], load["frames"]) == (1, 3)
+        loaded.save(path)               # no changes, and yet a full save
+        assert_full_save(path, caplog, "format v1")
+        assert save_messages(caplog)[-1][1]["version"] == 2
+        assert read_header(path)["version"] == 2
+        loaded.remove("f003")
+        loaded.save(path)               # then frames again, in v2
+        assert save_messages(caplog)[-1][0] == "appended"
+        assert len(snapshot_frames(path.read_bytes())) == 1
+        assert state_of(load_index(path), queries) == \
+            state_of(loaded, queries)
 
 
 def payload_keys(kind):
@@ -507,11 +564,13 @@ def test_saves_under_churn_match_the_json_encoder(tmp_path, rng, kind):
                 assert index.remove(live.pop(int(rng.integers(len(live)))))
         index.save(path)
         blob = path.read_bytes()
-        payload = blob[HEADER.size:base_size(blob) - 4]
-        for json_bytes in [payload] + [frame for _, frame in
-                                       snapshot_frames(blob)]:
+        payload, raw = snapshot_base(blob)
+        frames = snapshot_frames(blob)
+        for json_bytes in [payload] + [frame for _, frame in frames]:
             assert json_bytes == json.dumps(json.loads(json_bytes),
                                             separators=(",", ":")).encode()
+        if not frames:   # a full save: the raw section is the rows
+            assert raw == index._table.rows.astype("<f8").tobytes()
         restored = load_index(path)
         assert hits(restored, queries) == hits(index, queries)
         for doc_id in live:
@@ -531,28 +590,6 @@ def test_set_doc_rewrites_the_slots_fragment():
     table.set_doc(0, None, None)
     assert table.fragments() == [None]
     assert table.fragment_encodings == 2
-
-
-def test_rows_json_follows_every_row_write(rng):
-    """The cached base64 of full blocks of three rows, through removes that
-    move a row into another block or shrink the last one, and appends."""
-    table = SlotTable()
-
-    def check():
-        assert b"".join(table.rows_json()) == json.dumps(
-            pack_array(table.rows), separators=(",", ":")).encode()
-
-    for i in range(9):
-        table.append(f"r{i}", rng.standard_normal(4))
-    check()
-    table.swap_remove("r1")            # r8 moves into block 0, and
-    table.append("r9", rng.standard_normal(4))  # block 2 gets a new row 8
-    check()
-    table.swap_remove("r8")            # r9 moves into block 0
-    check()
-    table.swap_remove("r7")            # the last row itself
-    table.append("r10", rng.standard_normal(4))
-    check()
 
 
 def saved_fragments(caplog) -> list[tuple[str, int | None]]:
@@ -1127,3 +1164,103 @@ def test_the_debug_log_records_each_append_and_each_full_saves_reason(
     load_index(path)
     load = [r.args for r in caplog.records if r.msg.startswith("loaded")][-1]
     assert (load["documents"], load["frames"]) == (399, 1)
+
+
+def test_a_torn_frame_gives_one_warning_across_read_header_and_load(
+        tmp_path, rng, caplog):
+    index, path = framed_index("flat", rng), tmp_path / "s.snap"
+    index.save(path)
+    index.remove("d00001")
+    index.save(path)
+    path.write_bytes(path.read_bytes()[:-3])
+    caplog.clear()
+    assert read_header(path)["count"] == 400
+    assert len(load_index(path)) == 400
+    torn = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(torn) == 1 and "torn change frame" in torn[0].getMessage()
+
+
+# -- format v2's raw section ---------------------------------------------------
+
+def with_payload(blob: bytes, text: bytes, raw: bytes) -> bytes:
+    """blob's base with the given JSON and raw section, a valid CRC and
+    the header's payload length, and no frames."""
+    fields = list(HEADER.unpack_from(blob))
+    payload = JSON_LEN.pack(len(text)) + text + raw
+    fields[-1] = len(payload)
+    body = HEADER.pack(*fields) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_frame(blob: bytes, live: int, text: bytes, raw: bytes) -> bytes:
+    """blob with one more change frame of the given JSON and raw section,
+    its CRC valid."""
+    payload = JSON_LEN.pack(len(text)) + text + raw
+    body = FRAME.pack(len(payload), live) + payload
+    return blob + body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+def test_a_flipped_byte_in_the_raw_section_fails_the_checksum(tmp_path,
+                                                              kind):
+    path = tmp_path / "r.snap"
+    snapshot_v1.build(kind).save(path)
+    blob = path.read_bytes()
+    _, raw = snapshot_base(blob)
+    start = base_size(blob) - 4 - len(raw)
+    for at in (start, start + len(raw) // 2, start + len(raw) - 1):
+        bad = bytearray(blob)
+        bad[at] ^= 0x01
+        path.write_bytes(bytes(bad))
+        with pytest.raises(SnapshotCorruptError, match="checksum"):
+            load_index(path)
+
+
+@pytest.mark.parametrize("kind", snapshot_v1.KINDS)
+@pytest.mark.parametrize("change", [-8, -1, 1, 8])
+def test_a_raw_section_that_does_not_fit_the_shape_is_corrupt(tmp_path, kind,
+                                                              change):
+    path = tmp_path / "r.snap"
+    snapshot_v1.build(kind).save(path)
+    blob = path.read_bytes()
+    text, raw = snapshot_base(blob)
+    raw = raw[:change] if change < 0 else raw + bytes(change)
+    path.write_bytes(with_payload(blob, text, raw))
+    with pytest.raises(SnapshotCorruptError, match="raw section"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("kind", FRAMED)
+@pytest.mark.parametrize("how", ["short", "long", "non-finite"])
+def test_a_frame_whose_rows_do_not_decode_is_corrupt(tmp_path, rng, kind,
+                                                     how):
+    """A whole frame, its CRC good, whose raw rows are cut short, run long
+    or hold a NaN: the load fails, and does not take the save before."""
+    index, path = framed_index(kind, rng), tmp_path / "s.snap"
+    index.save(path)
+    row = np.full(4, 0.5)
+    if how == "non-finite":
+        row[2] = np.nan
+    raw = row.astype("<f8").tobytes()
+    raw = raw[:-8] if how == "short" else raw + bytes(8 * (how == "long"))
+    text = json.dumps({"removed": [], "docs": [
+        {"id": "x", "text": "", "meta": {}}], "vectors": {"shape": [1, 4]}},
+        separators=(",", ":")).encode()
+    path.write_bytes(with_frame(path.read_bytes(), 401, text, raw))
+    assert read_header(path)["count"] == 401
+    with pytest.raises(SnapshotCorruptError,
+                       match="raw section" if how != "non-finite"
+                       else "finite"):
+        load_index(path)
+
+
+def test_the_json_length_past_the_payload_is_corrupt(tmp_path):
+    path = tmp_path / "j.snap"
+    snapshot_v1.build("flat").save(path)
+    blob = bytearray(path.read_bytes())
+    plen = HEADER.unpack_from(blob)[-1]
+    JSON_LEN.pack_into(blob, HEADER.size, plen)
+    body = bytes(blob[:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(SnapshotCorruptError, match="bad payload"):
+        load_index(path)
